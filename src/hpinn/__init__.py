@@ -4,12 +4,11 @@ in smooth regions and WENO-Z convection in flagged cells, plus a classical
 WENO-Z reference solver and an experiment CLI.
 """
 
-from .autodiff import Graph, Jet, Value, evaluate, input_derivatives, parameter_gradient
+from .autodiff import Graph, Jet, Value
 from .irk import ButcherTableau, gauss_legendre_tableau, verify_order_conditions
 from .model import (
     Adam,
     Discretization,
-    LossBreakdown,
     MarchResult,
     StepDiagnostics,
     TimeStepState,

@@ -6,16 +6,18 @@ produced it.  Graphs are built eagerly through operator overloading, can be
 re-evaluated in place after leaf mutation (``Graph.refresh``), and are
 differentiated by a single reverse sweep (``Graph.backward``).
 
-First and second derivatives with respect to the spatial input are obtained
-by propagating (u, u_x, u_xx) jets forward through the same primitives (see
-``Jet``), so u_x and u_xx are ordinary graph nodes and parameter gradients
-flow through any expression built from them.
+First and second derivatives with respect to the spatial input are graph
+nodes too: the network propagates (u, u_x, u_xx) jets (see ``Jet``) through
+the same primitives, so parameter gradients flow through any expression
+built from them.
 
 All arithmetic is 64-bit; second-derivative graphs amplify roundoff and
 single precision is not sufficient for loss thresholds near 1e-5.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,11 +26,7 @@ __all__ = [
     "Value",
     "Graph",
     "Jet",
-    "evaluate",
-    "parameter_gradient",
-    "input_derivatives",
     "tanh",
-    "absolute",
     "pad_const",
     "window",
     "rows",
@@ -44,7 +42,7 @@ DIV_GUARD = 1e-300
 
 
 class EvaluationError(RuntimeError):
-    """Non-finite intermediate or near-zero divisor during evaluation."""
+    """Near-zero divisor during evaluation."""
 
 
 def _const(other):
@@ -217,21 +215,6 @@ class Value:
             return out
         return self * (1.0 / _const(other))
 
-    def __rtruediv__(self, other):
-        c = float(other)
-        _check_divisor(self.data, "rdiv")
-        out = Value(c / self.data, (self,), "rdiv")
-
-        def fwd():
-            _check_divisor(self.data, "rdiv")
-            out.data = c / self.data
-
-        def bwd():
-            self._acc(-out.grad * out.data / self.data)
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
-
     def __pow__(self, p):
         p = float(p)
         out = Value(self.data**p, (self,), "pow")
@@ -274,10 +257,6 @@ def tanh(a: Value) -> Value:
 
     out._fwd, out._bwd = fwd, bwd
     return out
-
-
-def absolute(a: Value) -> Value:
-    return abs(a)
 
 
 # -- structural operations --------------------------------------------------
@@ -449,162 +428,15 @@ class Graph:
             if b is not None:
                 b()
 
-    def validate_finite(self):
-        for n in self.nodes:
-            if not np.all(np.isfinite(n.data)):
-                raise EvaluationError(f"non-finite value in node '{n.label}'")
 
-
-def evaluate(root: Value, inputs: dict | None = None, validate: bool = True):
-    """Forward-evaluate the graph under `root`, optionally assigning leaves.
-
-    Every ancestor node holds its forward value afterwards; deterministic for
-    fixed inputs.  Raises EvaluationError (naming the offending node) on any
-    non-finite intermediate when `validate` is on.
-    """
-    if inputs:
-        for leaf, v in inputs.items():
-            if leaf._fwd is not None:
-                raise ValueError("inputs may only assign leaf nodes")
-            leaf.data = np.asarray(v, dtype=np.float64)
-    g = Graph(root)
-    g.refresh()
-    if validate:
-        g.validate_finite()
-    return root.data
-
-
-def parameter_gradient(seed: Value, params) -> dict:
-    """d(seed)/d(p) for every parameter leaf p, via one reverse sweep."""
-    for p in params:
-        p.grad = 0.0
-    g = Graph(seed)
-    g.refresh()
-    g.backward()
-    return {p: np.copy(p.grad) if isinstance(p.grad, np.ndarray) else float(p.grad) for p in params}
-
-
-# -- forward jets for spatial derivatives ------------------------------------
-
-
-class Jet:
+class Jet(NamedTuple):
     """A value u and its spatial derivatives u_x, u_xx as live graph nodes.
 
-    `order` says which derivatives are tracked (0, 1 or 2); within that order
-    a slot holding None is identically zero.  Keeping the two notions apart
-    matters: tanh of an affine map has dxx == None on input but nonzero
-    curvature, while an inviscid run at order 1 must not build dxx nodes at
-    all.
+    A slot holding None is not tracked: u_x below derivative order 1, u_xx
+    below order 2.  ``network.forward_stages`` builds jets; everything
+    downstream only reads them.
     """
 
-    __slots__ = ("u", "dx", "dxx", "order")
-
-    def __init__(self, u: Value, dx=None, dxx=None, order=None):
-        self.u = u
-        self.dx = dx
-        self.dxx = dxx
-        if order is None:
-            order = 2 if dxx is not None else (1 if dx is not None else 0)
-        self.order = order
-
-    @staticmethod
-    def seed(x: Value, order: int = 2) -> "Jet":
-        """Jet of the identity map at x: value x, slope one, curvature zero."""
-        one = Value(np.ones_like(x.data), label="dseed")
-        return Jet(x, one if order >= 1 else None, None, order=order)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.u + other.u,
-                _nadd(self.dx, other.dx),
-                _nadd(self.dxx, other.dxx),
-                order=max(self.order, other.order),
-            )
-        # constant in x: only the value moves
-        return Jet(self.u + other, self.dx, self.dxx, order=self.order)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            a, b = self, other
-            order = max(a.order, b.order)
-            dx = _nadd(_nmul(a.dx, b.u), _nmul(a.u, b.dx))
-            dxx = None
-            if order >= 2:
-                dxx = _nadd(
-                    _nadd(_nmul(a.dxx, b.u), _nmul(a.u, b.dxx)),
-                    _nscale(_nmul(a.dx, b.dx), 2.0),
-                )
-            return Jet(a.u * b.u, dx, dxx, order=order)
-        return Jet(
-            self.u * other,
-            _nscale(self.dx, other),
-            _nscale(self.dxx, other),
-            order=self.order,
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def matmul(self, w: Value) -> "Jet":
-        """Left-multiply every jet component by a (constant-in-x) matrix."""
-        return Jet(
-            matmul(w, self.u),
-            None if self.dx is None else matmul(w, self.dx),
-            None if self.dxx is None else matmul(w, self.dxx),
-            order=self.order,
-        )
-
-    def tanh(self) -> "Jet":
-        a = tanh(self.u)
-        if self.order < 1 or self.dx is None:
-            # constant in x stays constant
-            return Jet(a, None, None, order=self.order)
-        s = 1.0 - a * a
-        adx = s * self.dx
-        if self.order < 2:
-            return Jet(a, adx, None, order=self.order)
-        # (tanh u)'' = -2 tanh(u) sech^2(u) u_x^2 + sech^2(u) u_xx
-        curv = (a * adx * self.dx) * -2.0
-        adxx = curv if self.dxx is None else curv + s * self.dxx
-        return Jet(a, adx, adxx, order=2)
-
-
-def _nadd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _nmul(a, b):
-    if a is None or b is None:
-        return None
-    return a * b
-
-
-def _nscale(a, c):
-    if a is None:
-        return None
-    return a * c
-
-
-def input_derivatives(f, x, order: int = 2) -> Jet:
-    """Evaluate f at x with u, u_x, u_xx exposed as graph nodes.
-
-    `f` maps a Jet to a Jet using the arithmetic above; `x` is a Value leaf.
-    Parameter gradients of expressions containing the returned nodes remain
-    valid (the derivative nodes are part of the same graph).
-    """
-    jet = f(Jet.seed(x, order=order))
-    dx, dxx = jet.dx, jet.dxx
-    if order >= 1 and dx is None:
-        dx = Value(np.zeros_like(jet.u.data), label="zero")
-    if order >= 2 and dxx is None:
-        dxx = Value(np.zeros_like(jet.u.data), label="zero")
-    return Jet(jet.u, dx, dxx, order=order)
+    u: Value
+    dx: Optional[Value] = None
+    dxx: Optional[Value] = None

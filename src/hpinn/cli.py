@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .autodiff import EvaluationError
 from .model import Discretization, TrainingConfig, TrainingDivergedError, march
 from .network import NetworkConfig
-from .pde import PdeSpec
-from .refsolver import SolverConfig, solve
+from .pde import PdeSpec, burgers
+from .refsolver import SolverConfig, reference_on_grid, solve
 from .weno import WenoConstants
 
 __all__ = ["main", "load_config", "ConfigError"]
@@ -142,14 +143,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if nu < 0:
         raise ConfigError("pde.viscosity: must be nonnegative")
     bval = _need_number(cfg, "pde.boundary_value")
-    pde = PdeSpec(
-        flux=lambda u: u * u * 0.5,
-        dflux=lambda u: u,
-        viscosity=nu,
-        source=None,
-        domain=(float(domain[0]), float(domain[1])),
-        boundary_value=bval,
-        initial=lambda x: -np.sin(np.pi * x),
+    pde = dataclasses.replace(
+        burgers(nu), domain=(float(domain[0]), float(domain[1])), boundary_value=bval
     )
 
     ind = cfg["discretization"]["indicator"]
@@ -277,15 +272,12 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
         ref_n_cells=exp.ref_n_cells, ref_cfl=exp.ref_cfl, on_step=on_step,
     )
 
-    from scipy.interpolate import CubicSpline
-
     for t in exp.profile_times:
         if t <= 0.0:
             continue
         k = int(round(t / exp.disc.dt))
         pred = result.fields[k]
-        ref = result.reference[t]
-        ref_interp = CubicSpline(ref.x, ref.values)(pred.x)
+        ref_interp = reference_on_grid(result.reference[t], pred)
         rows = [
             (_fmt(xi), _fmt(ui), _fmt(ri))
             for xi, ui, ri in zip(pred.x, pred.values, ref_interp)
@@ -407,8 +399,8 @@ def _parser():
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
         if verb == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
             p.add_argument("--q", type=int, nargs="+", default=list(SWEEP_Q))
             p.add_argument("--dt", type=float, nargs="+", default=list(SWEEP_DT))
             p.add_argument("--nu", type=float, nargs="+", default=list(SWEEP_NU))
@@ -430,7 +422,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergedError, FloatingPointError) as err:
+    except (TrainingDivergedError, EvaluationError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

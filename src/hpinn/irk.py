@@ -15,12 +15,11 @@ barycentric form (a naive linear solve loses all accuracy past q ~ 20).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ButcherTableau", "gauss_legendre_tableau", "verify_order_conditions", "tableau_to_json"]
+__all__ = ["ButcherTableau", "gauss_legendre_tableau", "verify_order_conditions"]
 
 MAX_STAGES = 100
 
@@ -115,15 +114,3 @@ def verify_order_conditions(tableau: ButcherTableau, max_order: int) -> np.ndarr
     ks = np.arange(1, max_order + 1)
     moments = np.array([np.sum(b * c ** (k - 1)) for k in ks])
     return np.abs(moments - 1.0 / ks)
-
-
-def tableau_to_json(tableau: ButcherTableau) -> str:
-    return json.dumps(
-        {
-            "q": tableau.q,
-            "a": tableau.a.tolist(),
-            "b": tableau.b.tolist(),
-            "c": tableau.c.tolist(),
-        },
-        indent=2,
-    )

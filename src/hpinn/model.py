@@ -37,6 +37,7 @@ from .weno import (
     WenoConstants,
     dilate_mask,
     discontinuity_flags,
+    split_flux,
     weno_flux_divergence,
 )
 
@@ -44,12 +45,10 @@ __all__ = [
     "Discretization",
     "TrainingConfig",
     "TimeStepState",
-    "LossBreakdown",
     "StepDiagnostics",
     "MarchResult",
     "TrainingDivergedError",
     "Adam",
-    "stage_fields",
     "hybrid_convection",
     "residual_operator",
     "stage_targets",
@@ -58,6 +57,11 @@ __all__ = [
     "train_step",
     "march",
 ]
+
+# Margin on the splitting speed frozen from u^n for a whole step,
+# lam = LAMBDA_SAFETY * max|f'(u^n)|.  The reference solver recomputes its
+# speed every stage and keeps its own factor (refsolver.LAMBDA_SAFETY).
+LAMBDA_SAFETY = 1.1
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,6 @@ class Discretization:
     constants: WenoConstants = field(default_factory=WenoConstants)
     indicator_on_flux: bool = False  # flag on f(u) instead of u
     hybrid_enabled: bool = True  # False reproduces the plain discrete-time PINN
-    lambda_safety: float = 1.1
-    mask_recompute_every: int = 0  # 0 = mask frozen for the whole step
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,6 @@ class TrainingConfig:
     learning_rate: float = 1e-4
     loss_tolerance: float = 1e-5
     max_iterations: int = 200_000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     warm_start: bool = True
     loss_reduction: str = "mean"  # "mean" (stopping rule scale) or "sum" (raw)
 
@@ -105,13 +104,6 @@ class TimeStepState:
     def __post_init__(self):
         if len(self.data) != len(self.mask):
             raise ValueError("data and mask must have equal length")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    l_pde: float
-    l_bc: float
 
 
 @dataclass(frozen=True)
@@ -172,11 +164,6 @@ class Adam:
 # -- graph assembly -----------------------------------------------------------
 
 
-def stage_fields(params: NetworkParameters, grid: GridField, order: int = 2) -> Jet:
-    """Network outputs over the collocation grid as a (q+1, N) jet."""
-    return forward_stages(params, grid.x, order=order)
-
-
 def hybrid_convection(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: float,
                       dx: float, consts: WenoConstants = DEFAULT_CONSTANTS,
                       force_blend: bool = False) -> Value:
@@ -192,9 +179,7 @@ def hybrid_convection(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: f
         return conv_ad
     n = len(mask)
     ue = ad.pad_const(stages.u, 3, 3, pde.boundary_value)
-    fe = pde.flux(ue)
-    fp = (fe + lam * ue) * 0.5
-    fm = (fe - lam * ue) * 0.5
+    fp, fm = split_flux(ue, pde.flux, lam)
     conv_weno = weno_flux_divergence(fp, fm, n, dx, win=ad.window, consts=consts)
     # blend with the 0/1 mask as constants; each branch survives exactly at
     # its own points (1*x + 0*y == x in floating point)
@@ -216,7 +201,6 @@ def residual_operator(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: f
         ad.rows(stages.u, 0, q),
         None if stages.dx is None else ad.rows(stages.dx, 0, q),
         None if stages.dxx is None else ad.rows(stages.dxx, 0, q),
-        order=stages.order,
     )
     resid = hybrid_convection(rows, mask, pde, lam, grid.dx, consts, force_blend)
     if pde.viscosity > 0.0:
@@ -268,7 +252,7 @@ def build_loss_graph(params: NetworkParameters, state: TimeStepState, tableau: B
                      force_blend: bool = False):
     """Assemble the full training loss for one step; returns (graph, losses, jet)."""
     order = 2 if pde.viscosity > 0.0 else 1
-    jet = stage_fields(params, state.data, order=order)
+    jet = forward_stages(params, state.data.x, order)
     resid = residual_operator(
         jet, state.mask, pde, state.lam, state.data, state.t_n, disc.dt, tableau,
         consts=disc.constants, force_blend=force_blend,
@@ -291,7 +275,7 @@ def step_state(data: GridField, t_n: float, pde: PdeSpec, disc: Discretization) 
         mask = dilate_mask(mask, disc.mask_dilation)
     else:
         mask = DiscontinuityMask(np.zeros(len(data), dtype=np.int64))
-    lam = disc.lambda_safety * pde.max_speed(data.values)
+    lam = LAMBDA_SAFETY * pde.max_speed(data.values)
     return TimeStepState(t_n=t_n, data=data, mask=mask, lam=lam)
 
 
@@ -301,15 +285,14 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     """Adam until the loss drops below tolerance or the iteration cap.
 
     Returns (params, predicted u^{n+1} on the grid, StepDiagnostics).  The
-    mask and lam stay frozen unless mask_recompute_every asks for periodic
-    re-flagging from the current prediction.
+    mask and lam stay frozen for the whole step.
     """
     started = time.perf_counter()
     q = tableau.q
     graph, (total, l_pde, l_bc), jet = build_loss_graph(
         params, state, tableau, pde, disc, config.loss_reduction
     )
-    adam = Adam(params.leaves(), config.learning_rate, config.beta1, config.beta2, config.eps)
+    adam = Adam(params.leaves(), config.learning_rate)
 
     def check_finite(loss_value, iteration):
         if not np.isfinite(loss_value):
@@ -331,25 +314,6 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
         iterations += 1
         loss = float(total.data)
         check_finite(loss, iterations)
-        if (
-            disc.mask_recompute_every > 0
-            and iterations % disc.mask_recompute_every == 0
-            and disc.hybrid_enabled
-        ):
-            current = GridField(jet.u.data[q].copy(), state.data.x0, state.data.dx)
-            fresh = dilate_mask(
-                discontinuity_flags(
-                    current, disc.constants,
-                    transform=pde.flux if disc.indicator_on_flux else None,
-                ),
-                disc.mask_dilation,
-            )
-            if not np.array_equal(fresh.flags, state.mask.flags):
-                state = replace_state_mask(state, fresh)
-                graph, (total, l_pde, l_bc), jet = build_loss_graph(
-                    params, state, tableau, pde, disc, config.loss_reduction
-                )
-                loss = float(total.data)
 
     u_next = GridField(jet.u.data[q].copy(), state.data.x0, state.data.dx)
     diag = StepDiagnostics(
@@ -365,10 +329,6 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
         wall_time=time.perf_counter() - started,
     )
     return params, u_next, diag
-
-
-def replace_state_mask(state: TimeStepState, mask: DiscontinuityMask) -> TimeStepState:
-    return TimeStepState(t_n=state.t_n, data=state.data, mask=mask, lam=state.lam)
 
 
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Jet, Value
+from .autodiff import Jet, Value, matmul, tanh
 
 __all__ = [
     "NetworkConfig",
@@ -86,13 +86,28 @@ def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
     parameters.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
-    jet = Jet.seed(Value(xv, label="x"), order=order)
-    n_layers = len(params.weights)
+    u = Value(xv, label="x")
+    dx = Value(np.ones_like(xv), label="dseed") if order >= 1 else None
+    dxx = None  # x has no curvature
+    last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        jet = jet.matmul(w) + b
-        if k < n_layers - 1:
-            jet = jet.tanh()
-    return jet
+        u = matmul(w, u)
+        dx = None if dx is None else matmul(w, dx)
+        dxx = None if dxx is None else matmul(w, dxx)
+        u = u + b
+        if k == last:
+            break
+        u = tanh(u)
+        if dx is None:
+            continue
+        # (tanh z)' = s z' and (tanh z)'' = s z'' - 2 tanh(z) s z'^2, s = sech^2 z
+        s = 1.0 - u * u
+        sdx = s * dx
+        if order >= 2:
+            curv = (u * sdx * dx) * -2.0
+            dxx = curv if dxx is None else curv + s * dxx
+        dx = sdx
+    return Jet(u, dx, dxx)
 
 
 def save_parameters(params: NetworkParameters, path) -> None:

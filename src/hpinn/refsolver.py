@@ -22,6 +22,7 @@ __all__ = [
     "tvd_rk3_step",
     "stable_dt",
     "solve",
+    "reference_on_grid",
     "relative_error",
 ]
 
@@ -144,12 +145,16 @@ def solve(config: SolverConfig, monitor=None):
     return out_times, out_fields
 
 
+def reference_on_grid(ref: GridField, pred: GridField) -> np.ndarray:
+    """`ref` at pred's points: its own values on the same grid, else cubic."""
+    if len(ref) == len(pred) and np.allclose(ref.x, pred.x, rtol=0, atol=1e-12):
+        return ref.values
+    return CubicSpline(ref.x, ref.values)(pred.x)
+
+
 def relative_error(pred: GridField, ref: GridField) -> float:
     """||pred - ref||_2 / ||ref||_2 over pred's grid, ref interpolated (cubic)."""
-    if len(ref) == len(pred) and np.allclose(ref.x, pred.x, rtol=0, atol=1e-12):
-        ref_on_pred = ref.values
-    else:
-        ref_on_pred = CubicSpline(ref.x, ref.values)(pred.x)
+    ref_on_pred = reference_on_grid(ref, pred)
     denom = float(np.linalg.norm(ref_on_pred))
     if denom == 0.0:
         raise ValueError("reference field has zero norm")

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "GridField",
-    "FluxSplit",
     "DiscontinuityMask",
     "WenoConstants",
     "GhostExtension",
@@ -31,7 +30,7 @@ __all__ = [
     "wenoz_weights",
     "reconstruct_interface_flux",
     "beta3",
-    "lax_friedrichs_split",
+    "split_flux",
     "weno_derivative",
     "weno_flux_divergence",
     "discontinuity_flags",
@@ -110,15 +109,6 @@ class GhostExtension:
             right = 2.0 * self.value - values[-2 : -width - 2 : -1]
             return np.concatenate([left, values, right])
         raise ValueError(f"unknown extension kind: {self.kind!r}")
-
-
-@dataclass
-class FluxSplit:
-    """Monotone split f = f+ + f- from global Lax-Friedrichs."""
-
-    fplus: GridField
-    fminus: GridField
-    lam: float
 
 
 @dataclass
@@ -214,25 +204,14 @@ def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window,
     return (win(fhat, 1, n) - win(fhat, 0, n)) * (1.0 / dx)
 
 
-def lax_friedrichs_split(u: GridField, flux_fn, dflux_fn, lam: float) -> FluxSplit:
+def split_flux(u_ext, flux_fn, lam: float):
     """Global Lax-Friedrichs splitting f+- = (f(u) +- lam*u) / 2.
 
-    Raises if lam < max|f'(u)| anywhere: the split fluxes would lose
-    monotonicity and the upwind-biased reconstruction its justification.
+    `lam` must bound |f'(u)| for the split fluxes to be monotone.  `u_ext`
+    is an ndarray or a graph node; the result is a (f+, f-) pair of the same.
     """
-    speeds = np.abs(dflux_fn(u.values))
-    if lam < np.max(speeds):
-        raise ValueError(
-            f"lambda={lam:.6g} below max|f'(u)|={np.max(speeds):.6g}; splitting not monotone"
-        )
-    f = flux_fn(u.values)
-    fp = 0.5 * (f + lam * u.values)
-    fm = 0.5 * (f - lam * u.values)
-    return FluxSplit(
-        fplus=GridField(fp, u.x0, u.dx),
-        fminus=GridField(fm, u.x0, u.dx),
-        lam=lam,
-    )
+    fe = flux_fn(u_ext)
+    return (fe + lam * u_ext) * 0.5, (fe - lam * u_ext) * 0.5
 
 
 def weno_derivative(u: GridField, flux_fn, lam: float,
@@ -242,10 +221,7 @@ def weno_derivative(u: GridField, flux_fn, lam: float,
     n = len(u)
     if n < 2 * GHOST + 1:
         raise ValueError(f"need at least {2 * GHOST + 1} grid points, got {n}")
-    ue = extension.apply(u.values)
-    fe = flux_fn(ue)
-    fp = 0.5 * (fe + lam * ue)
-    fm = 0.5 * (fe - lam * ue)
+    fp, fm = split_flux(extension.apply(u.values), flux_fn, lam)
     div = weno_flux_divergence(fp, fm, n, u.dx, consts=consts)
     return GridField(div, u.x0, u.dx)
 

@@ -4,37 +4,31 @@ import numpy as np
 import pytest
 
 from hpinn import autodiff as ad
-from hpinn.autodiff import EvaluationError, Graph, Jet, Value
+from hpinn.autodiff import EvaluationError, Graph, Value
+from hpinn.network import NetworkConfig, forward_stages, init_xavier
 
 
 def finite_diff(fn, x0, h=1e-6):
     return (fn(x0 + h) - fn(x0 - h)) / (2 * h)
 
 
+def evaluate(root):
+    return Graph(root).refresh()
+
+
+def parameter_gradient(root, params):
+    Graph(root).backward()
+    return {p: p.grad for p in params}
+
+
 class TestEvaluate:
     def test_tanh_at_zero(self):
         x = Value(0.0)
-        assert ad.evaluate(ad.tanh(x)) == 0.0
+        assert evaluate(ad.tanh(x)) == 0.0
 
     def test_square(self):
         x = Value(3.0)
-        assert ad.evaluate(x * x) == 9.0
-
-    def test_input_assignment(self):
-        x = Value(0.0)
-        y = x * x + 1.0
-        assert ad.evaluate(y, {x: 4.0}) == 17.0
-
-    def test_assigning_non_leaf_rejected(self):
-        x = Value(1.0)
-        y = x * x
-        with pytest.raises(ValueError):
-            ad.evaluate(y, {y: 3.0})
-
-    def test_overflow_names_node(self):
-        big = Value(1e308, label="big")
-        with pytest.raises(EvaluationError):
-            ad.evaluate(big * 10.0)
+        assert evaluate(x * x) == 9.0
 
     def test_division_guard(self):
         with pytest.raises(EvaluationError):
@@ -44,7 +38,7 @@ class TestEvaluate:
         def build():
             x = Value(0.7312)
             y = ad.tanh(x * 3.0) / (x + 2.0) - x**3
-            return ad.evaluate(y)
+            return evaluate(y)
 
         assert build() == build()
 
@@ -52,17 +46,17 @@ class TestEvaluate:
 class TestParameterGradient:
     def test_product(self):
         w, x = Value(2.0), Value(3.0)
-        g = ad.parameter_gradient(w * x, [w])
+        g = parameter_gradient(w * x, [w])
         assert g[w] == 3.0
 
     def test_tanh_at_zero(self):
         w = Value(0.0)
-        g = ad.parameter_gradient(ad.tanh(w), [w])
+        g = parameter_gradient(ad.tanh(w), [w])
         assert g[w] == 1.0
 
     def test_unreached_parameter_gets_zero(self):
         w, other = Value(2.0), Value(5.0)
-        g = ad.parameter_gradient(w * w, [w, other])
+        g = parameter_gradient(w * w, [w, other])
         assert g[other] == 0.0
 
     def test_backward_needs_scalar_seed(self):
@@ -81,13 +75,13 @@ class TestParameterGradient:
             return t * t + abs(d) * a - b / (c * c + 1.5) + (a + d) ** 3
 
         root = expr(*params)
-        grads = ad.parameter_gradient(root, params)
+        grads = parameter_gradient(root, params)
         for i, p in enumerate(params):
             def f(v, i=i):
                 xs = list(vals)
                 xs[i] = v
                 ps = [Value(x) for x in xs]
-                return float(ad.evaluate(expr(*ps)))
+                return float(evaluate(expr(*ps)))
 
             fd = finite_diff(f, vals[i])
             assert grads[params[i]] == pytest.approx(fd, rel=1e-6, abs=1e-10)
@@ -100,9 +94,9 @@ class TestParameterGradient:
         f = ad.tanh(x * y) + x**2
         g = x / (y + 2.0)
         a, b = 1.7, -0.6
-        gf = ad.parameter_gradient(f, [x, y])
-        gg = ad.parameter_gradient(g, [x, y])
-        gc = ad.parameter_gradient(a * f + b * g, [x, y])
+        gf = parameter_gradient(f, [x, y])
+        gg = parameter_gradient(g, [x, y])
+        gc = parameter_gradient(a * f + b * g, [x, y])
         for p in (x, y):
             assert gc[p] == pytest.approx(a * gf[p] + b * gg[p], abs=1e-12)
 
@@ -170,44 +164,38 @@ class TestStructuralOps:
         # a scalar leaf broadcast against a field must collect the summed grad
         s = Value(0.3)
         f = Value(np.arange(4.0))
-        root = ad.summation(s * f)
-        ad.parameter_gradient(root, [s])
+        Graph(ad.summation(s * f)).backward()
         assert s.grad == pytest.approx(np.arange(4.0).sum())
 
 
+def single_unit_network(w0):
+    """u = tanh(w0 * x) in the first of two output rows, exactly."""
+    params = init_xavier(NetworkConfig(hidden_layers=1, width=1, outputs=2))
+    params.weights[0].data[:] = w0
+    params.weights[1].data[:] = [[1.0], [0.0]]
+    return params
+
+
 class TestJets:
-    def test_identity(self):
-        jet = ad.input_derivatives(lambda j: j, Value(np.array([0.4])))
-        assert jet.dx.data == pytest.approx(1.0)
-        assert jet.dxx.data == pytest.approx(0.0)
-
-    def test_square_exact(self):
-        x = np.array([[0.3, -0.7, 1.1]])
-        jet = ad.input_derivatives(lambda j: j * j, Value(x))
-        assert np.allclose(jet.dx.data, 2 * x, atol=0)
-        assert np.allclose(jet.dxx.data, 2.0, atol=0)
-
     def test_tanh_chain(self):
         x0 = 0.37
-        jet = ad.input_derivatives(lambda j: (j * 2.0).tanh(), Value(x0))
+        jet = forward_stages(single_unit_network(2.0), x0, order=2)
         t = math.tanh(2 * x0)
-        assert float(jet.dx.data) == pytest.approx(2 * (1 - t * t), rel=1e-12)
-        assert float(jet.dxx.data) == pytest.approx(-8 * t * (1 - t * t), rel=1e-12)
+        assert float(jet.dx.data[0, 0]) == pytest.approx(2 * (1 - t * t), rel=1e-12)
+        assert float(jet.dxx.data[0, 0]) == pytest.approx(-8 * t * (1 - t * t), rel=1e-12)
 
     def test_first_order_jet_has_no_curvature_nodes(self):
-        jet = Jet.seed(Value(np.array([0.1])), order=1)
-        out = (jet * jet).tanh()
-        assert out.dx is not None and out.dxx is None
+        params = init_xavier(NetworkConfig(outputs=3, seed=1))
+        jet = forward_stages(params, np.array([0.1]), order=1)
+        assert jet.dx is not None and jet.dxx is None
 
     def test_derivative_nodes_stay_differentiable(self):
         # d/dw of u_x for u = tanh(w*x) at x=0.5, w=0.8:
         # u_x = w sech^2(wx);  d(u_x)/dw = sech^2 - 2 w x tanh sech^2
-        w = Value(0.8)
-        x = Value(0.5)
-        jet = Jet.seed(x, order=1)
-        u = (jet * w).tanh()
-        grads = ad.parameter_gradient(u.dx, [w])
+        params = single_unit_network(0.8)
+        jet = forward_stages(params, 0.5, order=1)
+        Graph(ad.summation(jet.dx)).backward()
         t = math.tanh(0.4)
         s = 1 - t * t
         expected = s - 2 * 0.8 * 0.5 * t * s
-        assert grads[w] == pytest.approx(expected, rel=1e-12)
+        assert float(params.weights[0].grad[0, 0]) == pytest.approx(expected, rel=1e-12)

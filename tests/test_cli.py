@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from hpinn import cli
+from hpinn.autodiff import EvaluationError
 from hpinn.model import TrainingDivergedError
 
 TINY = {
@@ -95,14 +96,27 @@ class TestRun:
 
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)
+        failures = (
+            TrainingDivergedError("non-finite loss at step 0", iteration=17),
+            EvaluationError("near-zero divisor in node 'div'"),
+        )
+        for failure in failures:
+            def explode(*args, failure=failure, **kwargs):
+                raise failure
 
-        def explode(*args, **kwargs):
-            raise TrainingDivergedError("non-finite loss at step 0", iteration=17)
+            monkeypatch.setattr(cli, "march", explode)
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+            assert code == 3, type(failure).__name__
+            assert "numerical failure" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "march", explode)
+    def test_near_zero_divisor_exits_3(self, tmp_path, capsys):
+        # a threshold no point can meet flags every point, and eps below the
+        # divisor guard leaves beta + eps ~ 0 on the all-ghost stencils
+        indicator = {"eps": 1.0e-320, "threshold": 0.3}
+        path = write_config(tmp_path, {"discretization": {"indicator": indicator}})
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "near-zero divisor" in capsys.readouterr().err
 
 
 class TestBaseline:

@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from hpinn.irk import ButcherTableau, gauss_legendre_tableau, tableau_to_json, verify_order_conditions
+from hpinn.irk import ButcherTableau, gauss_legendre_tableau, verify_order_conditions
 
 
 def irk_exponential_step(tableau, dt):
@@ -92,12 +91,3 @@ class TestExponentialDecay:
         t = gauss_legendre_tableau(3)
         err = abs(irk_exponential_step(t, 0.5) - math.exp(-0.5))
         assert 1e-9 < err < 1e-7
-
-
-def test_json_dump_round_trips():
-    t = gauss_legendre_tableau(3)
-    blob = json.loads(tableau_to_json(t))
-    assert blob["q"] == 3
-    assert np.allclose(blob["a"], t.a, atol=0)
-    assert np.allclose(blob["b"], t.b, atol=0)
-    assert np.allclose(blob["c"], t.c, atol=0)

@@ -1,0 +1,57 @@
+"""Pinned fixed-seed loss trajectory of one training step.
+
+Each case trains the paper network (5x20, seed 0) for a fixed number of Adam
+iterations on one step of q=4 stages over a 64-point grid, on smooth data
+(nothing flagged) and on a shock profile (the WENO-Z branch is built), for
+the inviscid and the viscous Burgers equation.  The pinned losses were
+recorded before the autodiff engine was cut down to the training graph; a
+refactor that keeps the arithmetic must reproduce them.  The tolerance of
+1e-12 relative leaves room for BLAS builds that round matrix products
+differently, and nothing more.
+"""
+
+import numpy as np
+import pytest
+
+from hpinn.irk import gauss_legendre_tableau
+from hpinn.model import Discretization, TrainingConfig, step_state, train_step
+from hpinn.network import NetworkConfig, init_xavier
+from hpinn.pde import burgers
+from hpinn.weno import GridField
+
+N, Q, ITERATIONS = 64, 4, 25
+X = np.linspace(-1.0, 1.0, N)
+DATA = {
+    "smooth": -np.sin(np.pi * X),
+    "shock": np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X)),
+}
+
+# (viscosity, data) -> flagged points and (initial, final, l_pde, l_bc) losses
+PINNED = {
+    (0.0, "smooth"): (0, ("0x1.6357b188c5337p+7", "0x1.d0d333bdb8a89p+5",
+                          "0x1.9d35666a3348ep+5", "0x1.9cee6a9c2afd8p+2")),
+    (0.0, "shock"): (11, ("0x1.de59efb1951c1p+6", "0x1.362c72f47360dp+6",
+                          "0x1.2bbd9a048abc0p+6", "0x1.4ddb1dfd149adp+1")),
+    (1e-4 / np.pi, "smooth"): (0, ("0x1.6357c40aaed3fp+7", "0x1.d0d3a7d070bf1p+5",
+                                   "0x1.9d35d6a527d69p+5", "0x1.9cee895a4743ep+2")),
+    (1e-4 / np.pi, "shock"): (11, ("0x1.de5a0616f2ee8p+6", "0x1.362c59fef3e08p+6",
+                                   "0x1.2bbd81e7051c5p+6", "0x1.4ddb02fdd8863p+1")),
+}
+
+
+@pytest.mark.parametrize("nu,kind", list(PINNED), ids=lambda v: f"{v:.3g}" if isinstance(v, float) else v)
+def test_fixed_seed_losses_are_pinned(nu, kind):
+    pde = burgers(nu)
+    disc = Discretization(n_points=N, dt=0.1, q_stages=Q)
+    state = step_state(GridField(DATA[kind], -1.0, X[1] - X[0]), 0.0, pde, disc)
+    params = init_xavier(NetworkConfig(outputs=Q + 1, seed=0))
+    config = TrainingConfig(learning_rate=1e-3, loss_tolerance=1e-300,
+                            max_iterations=ITERATIONS, loss_reduction="sum")
+    _, _, diag = train_step(state, params, gauss_legendre_tableau(Q), pde, disc, config)
+
+    flagged, losses = PINNED[(nu, kind)]
+    assert diag.flagged_cells == flagged
+    assert diag.iterations == ITERATIONS
+    got = (diag.initial_loss, diag.final_loss, diag.loss_pde, diag.loss_bc)
+    for value, pinned in zip(got, losses):
+        assert value == pytest.approx(float.fromhex(pinned), rel=1e-12, abs=0.0)

@@ -11,15 +11,14 @@ from hpinn.weno import (
     candidate_fluxes,
     dilate_mask,
     discontinuity_flags,
-    lax_friedrichs_split,
     reconstruct_interface_flux,
     smoothness_indicators,
+    split_flux,
     weno_derivative,
     wenoz_weights,
 )
 
 BURGERS_FLUX = lambda u: 0.5 * u * u
-BURGERS_SPEED = lambda u: u
 
 
 def grid(values, x0=-1.0, dx=0.01):
@@ -88,29 +87,20 @@ class TestStencilKernels:
 
 class TestFluxSplit:
     def test_burgers_constant_one(self):
-        u = grid(np.ones(10))
-        split = lax_friedrichs_split(u, BURGERS_FLUX, BURGERS_SPEED, 1.0)
-        assert split.fplus.values == pytest.approx(np.full(10, 0.75))
-        assert split.fminus.values == pytest.approx(np.full(10, -0.25))
+        fplus, fminus = split_flux(np.ones(10), BURGERS_FLUX, 1.0)
+        assert fplus == pytest.approx(np.full(10, 0.75))
+        assert fminus == pytest.approx(np.full(10, -0.25))
 
     def test_zero_field(self):
-        u = grid(np.zeros(10))
-        split = lax_friedrichs_split(u, BURGERS_FLUX, BURGERS_SPEED, 0.0)
-        assert not split.fplus.values.any()
-        assert not split.fminus.values.any()
+        fplus, fminus = split_flux(np.zeros(10), BURGERS_FLUX, 0.0)
+        assert not fplus.any()
+        assert not fminus.any()
 
     def test_split_identity_random(self):
         rng = np.random.default_rng(3)
         vals = rng.uniform(-2, 2, size=40)
-        u = grid(vals)
-        split = lax_friedrichs_split(u, BURGERS_FLUX, BURGERS_SPEED, 2.5)
-        recon = split.fplus.values + split.fminus.values
-        assert np.max(np.abs(recon - BURGERS_FLUX(vals))) < 1e-14
-
-    def test_rejects_small_lambda(self):
-        u = grid(np.linspace(-2, 2, 16))
-        with pytest.raises(ValueError):
-            lax_friedrichs_split(u, BURGERS_FLUX, BURGERS_SPEED, 1.0)
+        fplus, fminus = split_flux(vals, BURGERS_FLUX, 2.5)
+        assert np.max(np.abs(fplus + fminus - BURGERS_FLUX(vals))) < 1e-14
 
 
 class LinearExtension:
