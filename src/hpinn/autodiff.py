@@ -34,6 +34,7 @@ __all__ = [
     "matmul",
     "summation",
     "mean",
+    "fused",
 ]
 
 # Denominators smaller than this raise instead of producing infinities.
@@ -370,6 +371,28 @@ def mean(a: Value) -> Value:
 
     def bwd():
         a._acc(np.broadcast_to(out.grad / size, a.data.shape))
+
+    out._fwd, out._bwd = fwd, bwd
+    return out
+
+
+def fused(parents, forward, vjp, label: str) -> Value:
+    """One node for an op with a hand-written vector-Jacobian product.
+
+    ``forward(*parent data)`` gives the node's data, at build and on every
+    refresh; ``vjp(grad)`` returns one gradient per parent, in order, for the
+    data of the last ``forward`` call.
+    """
+    parents = tuple(parents)
+    out = Value(forward(*(p.data for p in parents)), parents, label)
+
+    def fwd():
+        out.data = forward(*(p.data for p in parents))
+
+    def bwd():
+        g = out.grad if isinstance(out.grad, np.ndarray) else np.full_like(out.data, out.grad)
+        for p, gp in zip(parents, vjp(g)):
+            p._acc(gp)
 
     out._fwd, out._bwd = fwd, bwd
     return out

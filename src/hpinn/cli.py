@@ -199,6 +199,13 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if cfg["outputs"]["format"] != "csv":
         raise ConfigError("outputs.format: only 'csv' is supported")
 
+    ref_n_cells = int(_need_number(cfg, "reference.n_cells", positive=True))
+    ref_cfl = _need_number(cfg, "reference.cfl", positive=True)
+    try:  # the solver's own checks, before any training is spent
+        SolverConfig(pde=pde, n_cells=ref_n_cells, cfl=ref_cfl)
+    except ValueError as err:
+        raise ConfigError(f"reference: {err}") from err
+
     out_dir = Path(out_override) if out_override is not None else Path(cfg["outputs"]["directory"])
     cfg["outputs"]["directory"] = str(out_dir)
     return Experiment(
@@ -206,8 +213,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         disc=disc,
         network=network,
         training=training,
-        ref_n_cells=int(_need_number(cfg, "reference.n_cells", positive=True)),
-        ref_cfl=_need_number(cfg, "reference.cfl", positive=True),
+        ref_n_cells=ref_n_cells,
+        ref_cfl=ref_cfl,
         t_final=t_final,
         profile_times=profile_times,
         out_dir=out_dir,

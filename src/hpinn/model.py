@@ -5,7 +5,9 @@ One implicit Runge-Kutta step is learned at a time.  The network outputs all
 q+1 stage values at once; the PDE operator applied to the first q stages uses
 automatic differentiation for the convection term at smooth points and the
 WENO-Z divided difference at points flagged by the discontinuity indicator
-(the viscous term always comes from automatic differentiation).  Folding the
+(the viscous term always comes from automatic differentiation).  The WENO-Z
+branch is evaluated only at the flagged points and their 3-cell halos, as one
+graph node with a hand-written vector-Jacobian product.  Folding the
 stage values back through the tableau must reproduce the known data u^n at
 every collocation point, which together with the boundary mismatch forms the
 training loss.
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Jet, Value
+from .autodiff import EvaluationError, Graph, Jet, Value
 from .irk import ButcherTableau, gauss_legendre_tableau
 from .network import NetworkConfig, NetworkParameters, forward_stages, init_xavier
 from .pde import PdeSpec
@@ -34,11 +36,10 @@ from .weno import (
     DEFAULT_CONSTANTS,
     DiscontinuityMask,
     GridField,
+    SparseWenoZ,
     WenoConstants,
     dilate_mask,
     discontinuity_flags,
-    split_flux,
-    weno_flux_divergence,
 )
 
 __all__ = [
@@ -169,22 +170,31 @@ def hybrid_convection(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: f
                       force_blend: bool = False) -> Value:
     """f(u)_x per stage row: autodiff at smooth points, WENO-Z where flagged.
 
-    The WENO branch is built from the same stage nodes, so parameter
-    gradients flow through the stencil arithmetic; it uses the step-frozen
-    lam.  With an all-zero mask (and no forcing) the result is exactly the
-    autodiff term.
+    The WENO-Z branch is one graph node: it computes the divided difference
+    at the flagged points only, from their 3-cell halos with ghosts at the
+    boundary value and the step-frozen lam, and passes the autodiff term
+    through everywhere else.  Its hand-written VJP carries parameter
+    gradients through the reconstruction into the stage values.  With an
+    all-zero mask (and no forcing) the result is the autodiff term itself;
+    forcing builds the node with no flagged point.
     """
     conv_ad = pde.dflux(stages.u) * stages.dx
     if mask.count() == 0 and not force_blend:
         return conv_ad
-    n = len(mask)
-    ue = ad.pad_const(stages.u, 3, 3, pde.boundary_value)
-    fp, fm = split_flux(ue, pde.flux, lam)
-    conv_weno = weno_flux_divergence(fp, fm, n, dx, win=ad.window, consts=consts)
-    # blend with the 0/1 mask as constants; each branch survives exactly at
-    # its own points (1*x + 0*y == x in floating point)
-    m = mask.flags.astype(np.float64)
-    return conv_ad * (1.0 - m) + conv_weno * m
+    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx, pde.boundary_value, consts)
+    points = weno.points
+
+    def forward(conv, u):
+        out = conv.copy()
+        out[..., points] = weno(u)
+        return out
+
+    def vjp(grad):
+        grad_conv = grad.copy()
+        grad_conv[..., points] = 0.0
+        return grad_conv, weno.vjp(grad[..., points])
+
+    return ad.fused((conv_ad, stages.u), forward, vjp, "weno_z")
 
 
 def residual_operator(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: float,
@@ -289,10 +299,6 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     """
     started = time.perf_counter()
     q = tableau.q
-    graph, (total, l_pde, l_bc), jet = build_loss_graph(
-        params, state, tableau, pde, disc, config.loss_reduction
-    )
-    adam = Adam(params.leaves(), config.learning_rate)
 
     def check_finite(loss_value, iteration):
         if not np.isfinite(loss_value):
@@ -303,17 +309,24 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
                 parameter_norm=norm,
             )
 
-    initial_loss = float(total.data)
-    check_finite(initial_loss, 0)
-    loss = initial_loss
     iterations = 0
-    while loss >= config.loss_tolerance and iterations < config.max_iterations:
-        graph.backward()
-        adam.step()
-        graph.refresh()
-        iterations += 1
-        loss = float(total.data)
-        check_finite(loss, iterations)
+    try:
+        graph, (total, l_pde, l_bc), jet = build_loss_graph(
+            params, state, tableau, pde, disc, config.loss_reduction
+        )
+        adam = Adam(params.leaves(), config.learning_rate)
+        initial_loss = float(total.data)
+        check_finite(initial_loss, 0)
+        loss = initial_loss
+        while loss >= config.loss_tolerance and iterations < config.max_iterations:
+            graph.backward()
+            adam.step()
+            iterations += 1
+            graph.refresh()
+            loss = float(total.data)
+            check_finite(loss, iterations)
+    except EvaluationError as err:
+        raise EvaluationError(f"{err} at step {step_index}, iteration {iterations}") from err
 
     u_next = GridField(jet.u.data[q].copy(), state.data.x0, state.data.dx)
     diag = StepDiagnostics(
@@ -383,6 +396,8 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
                 iteration=err.iteration,
                 parameter_norm=err.parameter_norm,
             ) from err
+        except EvaluationError as err:
+            raise EvaluationError(f"step {n} (t={times[-1]:.6g}) aborted: {err}") from err
         fields.append(u_next)
         times.append((n + 1) * disc.dt)
         diagnostics.append(diag)

@@ -3,9 +3,11 @@ scale-separation indicator that classifies each grid point as smooth or
 discontinuous.
 
 The stencil kernels are plain arithmetic over their operands, so the same
-formulas serve two backends: ndarrays (reference solver, indicator) and
-autodiff Values (hybrid training graphs, where parameter gradients must flow
-through the reconstruction).
+formulas serve ndarrays (reference solver, indicator) and autodiff Values
+(the dense graph composition the tests keep as an oracle).  Hybrid training
+graphs use ``SparseWenoZ`` instead: the WENO-Z divided difference at the
+flagged points only, read from their 3-cell halos, with a hand-written
+vector-Jacobian product so the whole branch is one graph node.
 
 Smoothness indicators use the Jiang-Shu form with BOTH terms squared.  The
 unsquared 13/12 term sometimes seen in print can go negative, which breaks
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autodiff import _check_divisor
 
 __all__ = [
     "GridField",
@@ -33,6 +37,7 @@ __all__ = [
     "split_flux",
     "weno_derivative",
     "weno_flux_divergence",
+    "SparseWenoZ",
     "discontinuity_flags",
     "dilate_mask",
 ]
@@ -212,6 +217,124 @@ def split_flux(u_ext, flux_fn, lam: float):
     """
     fe = flux_fn(u_ext)
     return (fe + lam * u_ext) * 0.5, (fe - lam * u_ext) * 0.5
+
+
+class SparseWenoZ:
+    """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
+
+    Construction fixes, once per frozen mask, the flagged points, the
+    interfaces they difference (x_{j-1/2} and x_{j+1/2}) and the six
+    ghost-padded columns each interface reads; ghosts hold `boundary_value`,
+    like the constant extension.  A call evaluates `weno_flux_divergence` on
+    those columns alone, with the same arithmetic, so each value is bit for
+    bit the dense operator's at that point.  `vjp` differentiates the
+    candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
+    by hand, from what the last call kept.
+
+    Every beta_k + eps and every weight sum passes the graph's divisor guard
+    on each call, which raises `EvaluationError` as the `/` node does.
+    """
+
+    def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
+                 boundary_value: float = 0.0, consts: WenoConstants = DEFAULT_CONSTANTS):
+        n = len(flags)
+        self.points = np.flatnonzero(flags)
+        # f_hat index k is the interface x_{k-1/2}: point j differences k = j, j + 1
+        ifaces = np.union1d(self.points, self.points + 1)
+        self._lo = np.searchsorted(ifaces, self.points)
+        self._hi = self._lo + 1
+        self._cols = ifaces + np.arange(2 * GHOST)[:, None]  # (6, interfaces), padded
+        src = self._cols - GHOST
+        self._src = np.clip(src, 0, n - 1)
+        self._ghost = (src < 0) | (src >= n)
+        self._n = n
+        self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
+        self.boundary_value, self.consts = boundary_value, consts
+        self._tape = None
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
+        if not self.points.size:
+            return np.zeros(u.shape[:-1] + (0,))
+        ue = u[..., self._src]  # (..., 6, interfaces)
+        ue[..., self._ghost] = self.boundary_value
+        fp, fm = split_flux(ue, self.flux_fn, self.lam)
+        # both upwind sides at once: f+ left-biased, f- mirrored about x_{k-1/2}
+        sides = np.stack((fp[..., :5, :], fm[..., 5:0:-1, :]))
+        tape = self._reconstruct(tuple(sides[..., m, :] for m in range(5)))
+        self._tape = (ue, tape)
+        plus, minus = tape[0]
+        fhat = plus + minus
+        return (fhat[..., self._hi] - fhat[..., self._lo]) * (1.0 / self.dx)
+
+    def vjp(self, grad: np.ndarray) -> np.ndarray:
+        """Gradient on u (..., n) of <grad, self(u)> at the last call's u."""
+        du = np.zeros(grad.shape[:-1] + (self._n + 2 * GHOST,))
+        if self.points.size:
+            ue, tape = self._tape
+            g = grad * (1.0 / self.dx)
+            gfhat = np.zeros(tape[0].shape[1:])
+            gfhat[..., self._hi] = g
+            gfhat[..., self._lo] -= g
+            gsides = np.stack(self._reconstruct_vjp(gfhat, tape), axis=-2)
+            gp = np.zeros(ue.shape)
+            gm = np.zeros(ue.shape)
+            gp[..., :5, :] = gsides[0]
+            gm[..., 5:0:-1, :] = gsides[1]
+            # f+- = (f(u) +- lam u) / 2
+            gue = 0.5 * ((gp + gm) * self.dflux_fn(ue) + self.lam * (gp - gm))
+            for m in range(2 * GHOST):
+                du[..., self._cols[m]] += gue[..., m, :]
+        return du[..., GHOST : GHOST + self._n]
+
+    def _reconstruct(self, s):
+        """`reconstruct_interface_flux`, keeping its intermediates for `vjp`."""
+        c = candidate_fluxes(s)
+        b0, b1, b2 = smoothness_indicators(s)
+        tau5 = abs(b0 - b2)
+        dens = (b0 + self.consts.eps, b1 + self.consts.eps, b2 + self.consts.eps)
+        for den in dens:
+            _check_divisor(den, "weno_z")
+        ratios = tuple(tau5 / den for den in dens)
+        alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(self.consts.d, ratios))
+        asum = alphas[0] + alphas[1] + alphas[2]
+        _check_divisor(asum, "weno_z")
+        w = tuple(a / asum for a in alphas)
+        fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
+        return fhat, s, c, w, asum, dens, ratios, np.sign(b0 - b2)
+
+    def _reconstruct_vjp(self, g, tape):
+        """Gradient on the five stencil values of <g, reconstructed flux>."""
+        fhat, (v0, v1, v2, v3, v4), c, w, asum, dens, ratios, sign = tape
+        # fhat = sum_k w_k c_k with w_k = alpha_k / asum
+        gc0, gc1, gc2 = (g * wk for wk in w)
+        # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + eps)
+        gr = [g * (ck - fhat) / asum * (2.0 * d) * r
+              for ck, d, r in zip(c, self.consts.d, ratios)]
+        gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
+        gb0, gb1, gb2 = (-grk * r / den for grk, r, den in zip(gr, ratios, dens))
+        gb0 = gb0 + gtau * sign
+        gb2 = gb2 - gtau * sign
+        # candidate fluxes
+        s0 = (2.0 / 6.0) * gc0
+        s1 = (-7.0 * gc0 - gc1) * (1.0 / 6.0)
+        s2 = (11.0 * gc0 + 5.0 * gc1 + 2.0 * gc2) * (1.0 / 6.0)
+        s3 = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
+        s4 = (-1.0 / 6.0) * gc2
+        # beta_k = 13/12 P_k^2 + 1/4 Q_k^2
+        t, q = (13.0 / 6.0) * gb0 * (v0 - 2.0 * v1 + v2), 0.5 * gb0 * (v0 - 4.0 * v1 + 3.0 * v2)
+        s0 = s0 + t + q
+        s1 = s1 - 2.0 * t - 4.0 * q
+        s2 = s2 + t + 3.0 * q
+        t, q = (13.0 / 6.0) * gb1 * (v1 - 2.0 * v2 + v3), 0.5 * gb1 * (v1 - v3)
+        s1 = s1 + t + q
+        s2 = s2 - 2.0 * t
+        s3 = s3 + t - q
+        t, q = (13.0 / 6.0) * gb2 * (v2 - 2.0 * v3 + v4), 0.5 * gb2 * (3.0 * v2 - 4.0 * v3 + v4)
+        s2 = s2 + t + 3.0 * q
+        s3 = s3 - 2.0 * t - 4.0 * q
+        s4 = s4 + t + q
+        return s0, s1, s2, s3, s4
 
 
 def weno_derivative(u: GridField, flux_fn, lam: float,

@@ -56,6 +56,19 @@ class TestConfigErrors:
         path = write_config(tmp_path, {"outputs": {"profile_times": [0.9]}})
         assert cli.main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("verb", ["reference", "run"])
+    @pytest.mark.parametrize("setting,message", [
+        ({"cfl": 50.0}, "cfl must lie in (0, 1]"),
+        ({"n_cells": 8}, "need at least 16 cells"),
+    ])
+    def test_reference_setting_the_solver_rejects(self, tmp_path, capsys, verb, setting,
+                                                  message):
+        path = write_config(tmp_path, {"reference": setting})
+        code = cli.main([verb, "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # rejected before any work
+
 
 class TestRun:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -116,7 +129,11 @@ class TestRun:
         path = write_config(tmp_path, {"discretization": {"indicator": indicator}})
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 3
-        assert "near-zero divisor" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "near-zero divisor" in err
+        # the graph build evaluates the first loss: step 0, before any update
+        assert "step 0 (t=0)" in err
+        assert "iteration 0" in err
 
 
 class TestBaseline:

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hpinn.autodiff as ad
-from hpinn.autodiff import Graph, Jet, Value
+import hpinn.model as model
+from hpinn.autodiff import EvaluationError, Graph, Jet, Value
 from hpinn.irk import gauss_legendre_tableau
 from hpinn.model import (
     Adam,
@@ -22,6 +28,7 @@ from hpinn.model import (
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import PdeSpec, burgers
 from hpinn.weno import DiscontinuityMask, GridField
+from weno_oracle import dense_convection, masks
 
 
 def make_grid(n=64, lo=-1.0, hi=1.0):
@@ -110,6 +117,69 @@ class TestHybridConvection:
         auto = hybrid_convection(jet, zeros, self.pde, 1.1, self.dx)
         diff = np.abs(weno.data - auto.data)[0, 4:-4]
         assert diff.max() < 1e-3
+
+
+class TestFusedWenoBranch:
+    """The one-node WENO-Z branch against the dense composition it replaces."""
+
+    N = 32
+    X = np.linspace(-1.0, 1.0, N)
+    DX = X[1] - X[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=arrays(np.float64, (3, N), elements=st.floats(-2.0, 2.0)),
+           ux=arrays(np.float64, (3, N), elements=st.floats(-50.0, 50.0)),
+           flags=masks(N))
+    def test_convection_matches_dense_oracle(self, u, ux, flags):
+        jet, mask, pde = constant_jet(u, ux), DiscontinuityMask(flags), burgers(0.0)
+        got = hybrid_convection(jet, mask, pde, 2.5, self.DX, force_blend=True).data
+        want = dense_convection(jet, mask, pde, 2.5, self.DX).data
+        smooth = flags == 0
+        assert np.array_equal(got[:, smooth], want[:, smooth])
+        assert np.max(np.abs(got - want)[:, ~smooth], initial=0.0) <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flags=masks(N),
+           nu=st.sampled_from([0.0, 1e-4 / np.pi]))
+    def test_parameter_gradients_match_dense_oracle(self, seed, flags, nu):
+        rng = np.random.default_rng(seed)
+        data = GridField(-np.sin(np.pi * self.X), -1.0, self.DX)
+        state = TimeStepState(0.0, data, DiscontinuityMask(flags), 1.3)
+        pde, tab = burgers(nu), gauss_legendre_tableau(2)
+        disc = Discretization(n_points=self.N, dt=0.1, q_stages=2)
+        params = init_xavier(NetworkConfig(hidden_layers=2, width=8, outputs=3))
+        for leaf in params.leaves():
+            leaf.data = rng.uniform(-0.8, 0.8, size=leaf.data.shape)
+
+        def loss_and_gradients():
+            graph, (total, _, _), _ = build_loss_graph(params, state, tab, pde, disc,
+                                                       force_blend=True)
+            graph.backward()
+            return float(total.data), [leaf.grad.copy() for leaf in params.leaves()]
+
+        loss, grads = loss_and_gradients()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "hybrid_convection", dense_convection)
+            want_loss, want = loss_and_gradients()
+        assert loss == want_loss
+        scale = max(np.max(np.abs(g)) for g in want)
+        assert max(np.max(np.abs(g - w)) for g, w in zip(grads, want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-4 / np.pi])
+    def test_flagged_step_adds_at_most_five_nodes(self, nu):
+        # the paper setting: 300 points, q = 10; the branch once cost 183 nodes
+        n, q = 300, 10
+        x = np.linspace(-1.0, 1.0, n)
+        data = GridField(np.where(x < 0.0, 1.0, -1.0) * (1.0 - np.abs(x)), -1.0, x[1] - x[0])
+        pde, tab = burgers(nu), gauss_legendre_tableau(q)
+        disc = Discretization(n_points=n, dt=0.1, q_stages=q)
+        state = step_state(data, 0.0, pde, disc)
+        assert state.mask.count() > 0
+        plain = dataclasses.replace(state, mask=DiscontinuityMask(np.zeros(n, dtype=np.int64)))
+        params = init_xavier(NetworkConfig(outputs=q + 1, seed=0))
+        flagged_graph = build_loss_graph(params, state, tab, pde, disc)[0]
+        plain_graph = build_loss_graph(params, plain, tab, pde, disc)[0]
+        assert len(flagged_graph.nodes) <= len(plain_graph.nodes) + 5
 
 
 class TestResidualOperator:
@@ -354,6 +424,28 @@ class TestTrainStep:
             train_step(state, params, tab, pde, disc, TrainingConfig())
         assert err.value.iteration == 0
         assert err.value.parameter_norm is not None
+
+    def test_evaluation_error_names_step_and_iteration(self, monkeypatch):
+        # the third refresh evaluates the loss after three Adam updates
+        n = 48
+        x = np.linspace(-1, 1, n)
+        grid = GridField(-np.sin(np.pi * x), -1.0, x[1] - x[0])
+        pde = burgers(0.0)
+        disc = Discretization(n_points=n, dt=0.2, q_stages=1)
+        state = step_state(grid, 0.0, pde, disc)
+        params = init_xavier(NetworkConfig(outputs=2, seed=2))
+        refresh, calls = Graph.refresh, []
+
+        def failing_refresh(graph):
+            calls.append(graph)
+            if len(calls) == 3:
+                raise EvaluationError("near-zero divisor in node 'weno_z'")
+            return refresh(graph)
+
+        monkeypatch.setattr(Graph, "refresh", failing_refresh)
+        with pytest.raises(EvaluationError, match=r"'weno_z' at step 4, iteration 3$"):
+            train_step(state, params, gauss_legendre_tableau(1), pde, disc,
+                       TrainingConfig(max_iterations=10), step_index=4)
 
 
 class TestMarch:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hpinn.autodiff import EvaluationError
 from hpinn.weno import (
     DEFAULT_CONSTANTS,
     DiscontinuityMask,
     GhostExtension,
     GridField,
+    SparseWenoZ,
     WenoConstants,
     beta3,
     candidate_fluxes,
@@ -15,8 +20,10 @@ from hpinn.weno import (
     smoothness_indicators,
     split_flux,
     weno_derivative,
+    weno_flux_divergence,
     wenoz_weights,
 )
+from weno_oracle import masks
 
 BURGERS_FLUX = lambda u: 0.5 * u * u
 
@@ -149,6 +156,60 @@ class TestWenoDerivative:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             GridField(np.zeros(5), 0.0, 0.1)
+
+
+class TestSparseWenoZ:
+    N, LAM, DX = 32, 2.5, 0.05
+
+    def op(self, flags, boundary_value=0.0, consts=DEFAULT_CONSTANTS):
+        return SparseWenoZ(flags, BURGERS_FLUX, lambda u: u, self.LAM, self.DX,
+                           boundary_value, consts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=arrays(np.float64, (3, N), elements=st.floats(-2.0, 2.0)), flags=masks(N),
+           boundary_value=st.floats(-1.0, 1.0))
+    def test_matches_dense_operator_bit_for_bit(self, u, flags, boundary_value):
+        ue = np.pad(u, ((0, 0), (3, 3)), constant_values=boundary_value)
+        fp, fm = split_flux(ue, BURGERS_FLUX, self.LAM)
+        dense = weno_flux_divergence(fp, fm, self.N, self.DX)
+        got = self.op(flags, boundary_value)(u)
+        assert np.array_equal(got, dense[:, flags == 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flags=masks(N))
+    def test_vjp_matches_central_differences(self, seed, flags):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.5, 1.5, size=(2, self.N))
+        direction = rng.normal(size=u.shape)
+        cotangent = rng.normal(size=(2, int(flags.sum())))
+        op = self.op(flags, boundary_value=0.3)
+        op(u)
+        grad = op.vjp(cotangent)
+        h = 1e-6
+        up = np.sum(cotangent * op(u + h * direction))
+        dn = np.sum(cotangent * op(u - h * direction))
+        assert np.sum(grad * direction) == pytest.approx((up - dn) / (2 * h), rel=1e-6, abs=1e-8)
+
+    def test_no_flagged_point(self):
+        op = self.op(np.zeros(self.N, dtype=np.int64))
+        u = np.ones((2, self.N))
+        assert op(u).shape == (2, 0)
+        assert np.array_equal(op.vjp(np.zeros((2, 0))), np.zeros((2, self.N)))
+
+    def test_near_zero_divisor_raises_at_the_wall(self):
+        # every interface is built, and the stencils at the wall read only
+        # ghosts: beta_0 = 0 and beta_0 + eps underflows the guard
+        op = self.op(np.ones(self.N, dtype=np.int64), consts=WenoConstants(eps=1e-320))
+        with pytest.raises(EvaluationError, match="near-zero divisor"):
+            op(np.linspace(-1.0, 1.0, self.N)[None, :])
+
+    def test_divisor_guard_runs_on_every_call(self):
+        flags = np.zeros(self.N, dtype=np.int64)
+        flags[12:18] = 1
+        op = self.op(flags, consts=WenoConstants(eps=1e-320))
+        op(np.sin(np.linspace(-1.0, 1.0, self.N))[None, :])  # no vanishing beta
+        with pytest.raises(EvaluationError, match="near-zero divisor"):
+            op(np.zeros((1, self.N)))
 
 
 class TestGhostExtension:
