@@ -6,6 +6,10 @@ produced it.  Graphs are built eagerly through operator overloading, can be
 re-evaluated in place after leaf mutation (``Graph.refresh``), and are
 differentiated by a single reverse sweep (``Graph.backward``).
 
+Every op, from ``+`` to the WENO-Z branch, is a forward function of its
+parents' data plus its vector-Jacobian product (VJP), and ``fused`` is the one
+constructor that turns such a pair into a graph node.
+
 First and second derivatives with respect to the spatial input are graph
 nodes too: the network propagates (u, u_x, u_xx) jets (see ``Jet``) through
 the same primitives, so parameter gradients flow through any expression
@@ -109,137 +113,76 @@ class Value:
 
     def __add__(self, other):
         if isinstance(other, Value):
-            out = Value(self.data + other.data, (self, other), "add")
-
-            def fwd():
-                out.data = self.data + other.data
-
-            def bwd():
-                self._acc(out.grad)
-                other._acc(out.grad)
-
-        else:
-            c = _const(other)
-            out = Value(self.data + c, (self,), "add_const")
-
-            def fwd():
-                out.data = self.data + c
-
-            def bwd():
-                self._acc(out.grad)
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
+            return fused((self, other), np.add, lambda g, y, a, b: (g, g), "add")
+        c = _const(other)
+        return fused((self,), lambda a: a + c, lambda g, y, a: (g,), "add_const")
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Value(-self.data, (self,), "neg")
-
-        def fwd():
-            out.data = -self.data
-
-        def bwd():
-            self._acc(-out.grad)
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
-
     def __sub__(self, other):
         if isinstance(other, Value):
-            out = Value(self.data - other.data, (self, other), "sub")
-
-            def fwd():
-                out.data = self.data - other.data
-
-            def bwd():
-                self._acc(out.grad)
-                other._acc(-out.grad)
-
-            out._fwd, out._bwd = fwd, bwd
-            return out
+            return fused((self, other), np.subtract, lambda g, y, a, b: (g, -g), "sub")
         return self + (-1.0 * _const(other))
 
     def __rsub__(self, other):
         c = _const(other)
-        out = Value(c - self.data, (self,), "rsub_const")
-
-        def fwd():
-            out.data = c - self.data
-
-        def bwd():
-            self._acc(-out.grad)
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
+        return fused((self,), lambda a: c - a, lambda g, y, a: (-g,), "rsub_const")
 
     def __mul__(self, other):
         if isinstance(other, Value):
-            out = Value(self.data * other.data, (self, other), "mul")
-
-            def fwd():
-                out.data = self.data * other.data
-
-            def bwd():
-                self._acc(out.grad * other.data)
-                other._acc(out.grad * self.data)
-
-        else:
-            c = _const(other)
-            out = Value(self.data * c, (self,), "mul_const")
-
-            def fwd():
-                out.data = self.data * c
-
-            def bwd():
-                self._acc(out.grad * c)
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
+            return fused((self, other), np.multiply, lambda g, y, a, b: (g * b, g * a), "mul")
+        c = _const(other)
+        return fused((self,), lambda a: a * c, lambda g, y, a: (g * c,), "mul_const")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Value):
-            _check_divisor(other.data, "div")
-            out = Value(self.data / other.data, (self, other), "div")
-
-            def fwd():
-                _check_divisor(other.data, "div")
-                out.data = self.data / other.data
-
-            def bwd():
-                self._acc(out.grad / other.data)
-                other._acc(-out.grad * out.data / other.data)
-
-            out._fwd, out._bwd = fwd, bwd
-            return out
+            return fused((self, other), _div, lambda g, y, a, b: (g / b, -g * y / b), "div")
         return self * (1.0 / _const(other))
 
     def __pow__(self, p):
         p = float(p)
-        out = Value(self.data**p, (self,), "pow")
-
-        def fwd():
-            out.data = self.data**p
-
-        def bwd():
-            self._acc(out.grad * p * self.data ** (p - 1.0))
-
-        out._fwd, out._bwd = fwd, bwd
-        return out
+        return fused((self,), lambda a: a**p, lambda g, y, a: (g * p * a ** (p - 1.0),), "pow")
 
     def __abs__(self):
-        out = Value(np.abs(self.data), (self,), "abs")
+        return fused((self,), np.abs, lambda g, y, a: (g * np.sign(a),), "abs")
+
+
+def fused(parents, forward, vjp, label: str) -> Value:
+    """The one node constructor: every op is a `forward` plus its VJP.
+
+    ``forward(*parent data)`` gives the node's data, at build and on every
+    refresh.  ``vjp(grad, data, *parent data)`` returns one gradient per
+    parent, in order, for the node's own ``data`` from the last ``forward``.
+    Every op has one or two parents; each arity gets its own closure pair so
+    that no node pays for argument packing.
+    """
+    parents = tuple(parents)
+    out = Value(forward(*(p.data for p in parents)), parents, label)
+    if len(parents) == 1:
+        (a,) = parents
 
         def fwd():
-            out.data = np.abs(self.data)
+            out.data = forward(a.data)
 
         def bwd():
-            self._acc(out.grad * np.sign(self.data))
+            (ga,) = vjp(out.grad, out.data, a.data)
+            a._acc(ga)
 
-        out._fwd, out._bwd = fwd, bwd
-        return out
+    else:
+        a, b = parents
+
+        def fwd():
+            out.data = forward(a.data, b.data)
+
+        def bwd():
+            ga, gb = vjp(out.grad, out.data, a.data, b.data)
+            a._acc(ga)
+            b._acc(gb)
+
+    out._fwd, out._bwd = fwd, bwd
+    return out
 
 
 def _check_divisor(d, label):
@@ -247,155 +190,73 @@ def _check_divisor(d, label):
         raise EvaluationError(f"near-zero divisor in node '{label}'")
 
 
+def _div(a, b):
+    _check_divisor(b, "div")
+    return a / b
+
+
 def tanh(a: Value) -> Value:
-    out = Value(np.tanh(a.data), (a,), "tanh")
-
-    def fwd():
-        out.data = np.tanh(a.data)
-
-    def bwd():
-        a._acc(out.grad * (1.0 - out.data * out.data))
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), np.tanh, lambda g, y, x: (g * (1.0 - y * y),), "tanh")
 
 
 # -- structural operations --------------------------------------------------
 
 
+def _scatter(sl):
+    """VJP of reading slice `sl`: the gradient placed in zeros of the parent's shape."""
+
+    def vjp(g, y, x):
+        out = np.zeros_like(x)
+        out[sl] = g
+        return (out,)
+
+    return vjp
+
+
 def pad_const(a: Value, left: int, right: int, value: float = 0.0) -> Value:
     """Extend the last axis by `left`/`right` ghost entries holding `value`."""
-    n = a.data.shape[-1]
     pad_width = [(0, 0)] * (a.data.ndim - 1) + [(left, right)]
-    sl = (Ellipsis, slice(left, left + n))
-    out = Value(np.pad(a.data, pad_width, constant_values=value), (a,), "pad")
-
-    def fwd():
-        out.data = np.pad(a.data, pad_width, constant_values=value)
-
-    def bwd():
-        # gradient of padding is the interior slice of the upstream grad
-        if not isinstance(a.grad, np.ndarray):
-            a.grad = np.full_like(a.data, a.grad)
-        a.grad += out.grad[sl]
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    sl = (Ellipsis, slice(left, left + a.data.shape[-1]))
+    return fused((a,), lambda x: np.pad(x, pad_width, constant_values=value),
+                 lambda g, y, x: (g[sl],), "pad")
 
 
 def window(a: Value, start: int, length: int) -> Value:
     """Contiguous slice of the last axis."""
     sl = (Ellipsis, slice(start, start + length))
-    out = Value(a.data[sl], (a,), "window")
-
-    def fwd():
-        out.data = a.data[sl]
-
-    def bwd():
-        if not isinstance(a.grad, np.ndarray):
-            a.grad = np.full_like(a.data, a.grad)
-        a.grad[sl] += out.grad
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), lambda x: x[sl], _scatter(sl), "window")
 
 
 def rows(a: Value, start: int, length: int) -> Value:
     """Contiguous slice of the first axis of a 2-D node."""
     sl = slice(start, start + length)
-    out = Value(a.data[sl], (a,), "rows")
-
-    def fwd():
-        out.data = a.data[sl]
-
-    def bwd():
-        if not isinstance(a.grad, np.ndarray):
-            a.grad = np.full_like(a.data, a.grad)
-        a.grad[sl] += out.grad
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), lambda x: x[sl], _scatter(sl), "rows")
 
 
 def take_cols(a: Value, idx) -> Value:
     """Gather columns of the last axis at fixed integer indices."""
     idx = tuple(int(i) for i in idx)
-    out = Value(a.data[..., idx], (a,), "take_cols")
 
-    def fwd():
-        out.data = a.data[..., idx]
+    def vjp(g, y, x):
+        out = np.zeros_like(x)
+        np.add.at(out, (Ellipsis, idx), g)  # an index may repeat
+        return (out,)
 
-    def bwd():
-        if not isinstance(a.grad, np.ndarray):
-            a.grad = np.full_like(a.data, a.grad)
-        np.add.at(a.grad, (Ellipsis, idx), out.grad)
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), lambda x: x[..., idx], vjp, "take_cols")
 
 
 def matmul(a: Value, b: Value) -> Value:
     """2-D matrix product; used for dense layers and constant stage mixing."""
-    out = Value(a.data @ b.data, (a, b), "matmul")
-
-    def fwd():
-        out.data = a.data @ b.data
-
-    def bwd():
-        a._acc(out.grad @ b.data.T)
-        b._acc(a.data.T @ out.grad)
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a, b), np.matmul, lambda g, y, x, w: (g @ w.T, x.T @ g), "matmul")
 
 
 def summation(a: Value) -> Value:
-    out = Value(np.sum(a.data), (a,), "sum")
-
-    def fwd():
-        out.data = np.sum(a.data)
-
-    def bwd():
-        a._acc(np.broadcast_to(out.grad, a.data.shape))
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), np.sum, lambda g, y, x: (np.broadcast_to(g, x.shape),), "sum")
 
 
 def mean(a: Value) -> Value:
     size = a.data.size
-    out = Value(np.mean(a.data), (a,), "mean")
-
-    def fwd():
-        out.data = np.mean(a.data)
-
-    def bwd():
-        a._acc(np.broadcast_to(out.grad / size, a.data.shape))
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
-
-
-def fused(parents, forward, vjp, label: str) -> Value:
-    """One node for an op with a hand-written vector-Jacobian product.
-
-    ``forward(*parent data)`` gives the node's data, at build and on every
-    refresh; ``vjp(grad)`` returns one gradient per parent, in order, for the
-    data of the last ``forward`` call.
-    """
-    parents = tuple(parents)
-    out = Value(forward(*(p.data for p in parents)), parents, label)
-
-    def fwd():
-        out.data = forward(*(p.data for p in parents))
-
-    def bwd():
-        g = out.grad if isinstance(out.grad, np.ndarray) else np.full_like(out.data, out.grad)
-        for p, gp in zip(parents, vjp(g)):
-            p._acc(gp)
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
+    return fused((a,), np.mean, lambda g, y, x: (np.broadcast_to(g / size, x.shape),), "mean")
 
 
 # -- graph ------------------------------------------------------------------
@@ -445,7 +306,7 @@ class Graph:
             raise ValueError("backward seed must be a scalar node")
         for n in self.nodes:
             n.grad = 0.0
-        self.root.grad = 1.0
+        self.root.grad = np.ones_like(self.root.data)
         for n in reversed(self.nodes):
             b = n._bwd
             if b is not None:

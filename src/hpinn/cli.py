@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,21 @@ class ConfigError(ValueError):
 
 
 # -- configuration ------------------------------------------------------------
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as 1e-5 and 3e2.
+
+    YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, so it
+    reads those as strings.  Quoted scalars stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 _DEFAULTS = {
     "pde": {
@@ -129,7 +145,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     cfg = _merge(_DEFAULTS, raw or {})

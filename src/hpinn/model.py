@@ -189,7 +189,7 @@ def hybrid_convection(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: f
         out[..., points] = weno(u)
         return out
 
-    def vjp(grad):
+    def vjp(grad, data, conv, u):
         grad_conv = grad.copy()
         grad_conv[..., points] = 0.0
         return grad_conv, weno.vjp(grad[..., points])

@@ -114,7 +114,8 @@ def solve(config: SolverConfig, monitor=None):
 
     Returns (times, fields) for the requested snapshot_times (t_final is
     appended if no snapshots are given).  `monitor(t, field)` is called after
-    every accepted step.
+    every accepted step.  A step that overflows or turns invalid raises
+    FloatingPointError naming the solver time it started from.
     """
     pde = config.pde
     if pde.initial is None:
@@ -136,7 +137,13 @@ def solve(config: SolverConfig, monitor=None):
     for target in wanted:
         while t < target - 1e-12:
             dt = min(stable_dt(u, pde, config.cfl), target - t)
-            u = tvd_rk3_step(u, dt, pde, extension, config.constants, cfl=config.cfl, t=t)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    u = tvd_rk3_step(u, dt, pde, extension, config.constants,
+                                     cfl=config.cfl, t=t)
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"reference solve went non-finite at t={t:.6g}: {err}") from err
             t += dt
             if monitor is not None:
                 monitor(t, u)

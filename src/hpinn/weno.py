@@ -177,13 +177,16 @@ def reconstruct_interface_flux(stencil, consts: WenoConstants = DEFAULT_CONSTANT
 
 
 def beta3(stencil):
-    """Downstream smoothness indicator over f_{j+1..j+3} (indicator only)."""
+    """Downstream smoothness indicator over f_{j+1..j+3} (indicator only).
+
+    The quadratic form (22 f1^2 - 73 f1 f2 + 29 f1 f3 + 61 f2^2 - 49 f2 f3
+    + 10 f3^2) / 3 vanishes on constants, so it is evaluated in the
+    differences: a field offset does not cancel, and the result cannot go
+    negative (the form is positive definite in them).
+    """
     f1, f2, f3 = stencil
-    return (1.0 / 3.0) * (
-        f1 * (22.0 * f1 - 73.0 * f2 + 29.0 * f3)
-        + f2 * (61.0 * f2 - 49.0 * f3)
-        + 10.0 * f3 * f3
-    )
+    d1, d2 = f2 - f1, f3 - f2
+    return (1.0 / 3.0) * (22.0 * d1 * d1 - 29.0 * d1 * d2 + 10.0 * d2 * d2)
 
 
 # -- field-level operators ----------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -138,34 +139,99 @@ class TestStructuralOps:
             seed=1,
         )
 
-    def test_matmul_grad(self):
-        rng = np.random.default_rng(2)
-        w = Value(rng.uniform(-1, 1, size=(3, 4)))
-        h = Value(rng.uniform(-1, 1, size=(4, 6)))
-        root = ad.summation(ad.tanh(ad.matmul(w, h)))
-        graph = Graph(root)
-        graph.backward()
-        idx = (1, 2)
-        step = 1e-6
-        keep = w.data[idx]
-        w.data[idx] = keep + step
-        up = float(graph.refresh())
-        w.data[idx] = keep - step
-        dn = float(graph.refresh())
-        w.data[idx] = keep
-        assert w.grad[idx] == pytest.approx((up - dn) / (2 * step), rel=1e-6)
-
     def test_pad_values(self):
         v = Value(np.array([1.0, 2.0]))
         out = ad.pad_const(v, 2, 1, 9.0)
         assert np.array_equal(out.data, [9.0, 9.0, 1.0, 2.0, 9.0])
 
-    def test_broadcast_accumulation(self):
-        # a scalar leaf broadcast against a field must collect the summed grad
-        s = Value(0.3)
-        f = Value(np.arange(4.0))
-        Graph(ad.summation(s * f)).backward()
-        assert s.grad == pytest.approx(np.arange(4.0).sum())
+
+class Op(NamedTuple):
+    graph: Callable  # leaf Values -> Value
+    numpy: Callable  # leaf arrays -> the same result in plain numpy
+    shapes: tuple  # one shape per leaf
+
+
+CONST = np.linspace(-0.5, 0.5, 4)
+
+# One input per engine op, plus the broadcasting and aliasing cases.
+OPS = {
+    "add": Op(lambda a, b: a + b, lambda a, b: a + b, [(3, 4), (3, 4)]),
+    "add_bias": Op(lambda b, f: b + f, lambda b, f: b + f, [(3, 1), (3, 4)]),
+    "add_const": Op(lambda a: a + 0.25, lambda a: a + 0.25, [(3, 4)]),
+    "add_const_array": Op(lambda a: a + CONST, lambda a: a + CONST, [(3, 4)]),
+    "radd_const": Op(lambda a: 0.25 + a, lambda a: a + 0.25, [(3, 4)]),
+    "sub": Op(lambda a, b: a - b, lambda a, b: a - b, [(3, 4), (3, 4)]),
+    "sub_const": Op(lambda a: a - 0.25, lambda a: a + (-0.25), [(3, 4)]),
+    "rsub_const": Op(lambda a: 0.25 - a, lambda a: 0.25 - a, [(3, 4)]),
+    "mul": Op(lambda a, b: a * b, lambda a, b: a * b, [(3, 4), (3, 4)]),
+    "mul_scalar_field": Op(lambda s, f: s * f, lambda s, f: s * f, [(), (4,)]),
+    "mul_const": Op(lambda a: a * 1.5, lambda a: a * 1.5, [(3, 4)]),
+    "mul_const_array": Op(lambda a: a * CONST, lambda a: a * CONST, [(3, 4)]),
+    "rmul_const": Op(lambda a: 1.5 * a, lambda a: a * 1.5, [(3, 4)]),
+    "square": Op(lambda u: u * u, lambda u: u * u, [(3, 4)]),
+    "div": Op(lambda a, b: a / b, lambda a, b: a / b, [(3, 4), (3, 4)]),
+    "div_const": Op(lambda a: a / 4.0, lambda a: a * 0.25, [(3, 4)]),
+    "pow": Op(lambda a: a**3, lambda a: a**3.0, [(3, 4)]),
+    "pow_negative": Op(lambda a: a**-2, lambda a: a**-2.0, [(3, 4)]),
+    "abs": Op(abs, np.abs, [(3, 4)]),
+    "tanh": Op(ad.tanh, np.tanh, [(3, 4)]),
+    "tanh_0d": Op(ad.tanh, np.tanh, [()]),
+    "pad": Op(lambda a: ad.pad_const(a, 2, 1, 0.5), lambda a: np.concatenate(
+        [np.full((3, 2), 0.5), a, np.full((3, 1), 0.5)], axis=-1), [(3, 4)]),
+    "window": Op(lambda a: ad.window(a, 1, 3), lambda a: a[:, 1:4], [(3, 5)]),
+    "rows": Op(lambda a: ad.rows(a, 1, 2), lambda a: a[1:3], [(4, 5)]),
+    "take_cols": Op(lambda a: ad.take_cols(a, (3, 0, 3)), lambda a: a[:, [3, 0, 3]],
+                    [(3, 4)]),
+    "matmul": Op(ad.matmul, np.matmul, [(3, 4), (4, 2)]),
+    "matmul_tanh": Op(lambda w, h: ad.tanh(ad.matmul(w, h)), lambda w, h: np.tanh(w @ h),
+                      [(3, 4), (4, 6)]),
+    "sum": Op(ad.summation, np.sum, [(3, 4)]),
+    "mean": Op(ad.mean, np.mean, [(3, 4)]),
+}
+
+
+def signed(rng, shape):
+    """Entries in +-[0.5, 1.5]: away from the kink of abs and the pole of /."""
+    return np.asarray(rng.uniform(0.5, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape))
+
+
+@pytest.mark.parametrize("name", OPS)
+class TestOpTable:
+    def leaves(self, name):
+        rng = np.random.default_rng(sorted(OPS).index(name))
+        return [signed(rng, s) for s in OPS[name].shapes], rng
+
+    def test_forward_matches_numpy(self, name):
+        op = OPS[name]
+        arrays, _ = self.leaves(name)
+        out = op.graph(*map(Value, arrays))
+        expected = op.numpy(*arrays)
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(Graph(out).refresh(), expected)
+
+    def test_backward_matches_central_differences(self, name):
+        op = OPS[name]
+        arrays, rng = self.leaves(name)
+        leaves = [Value(a.copy()) for a in arrays]
+        out = op.graph(*leaves)
+        # a 0-d output is the root; a field output is contracted with weights
+        if out.data.ndim == 0:
+            weights = 1.0
+            Graph(out).backward()
+        else:
+            weights = signed(rng, out.shape)
+            Graph(ad.summation(out * weights)).backward()
+        h = 1e-6
+        for k, (leaf, x) in enumerate(zip(leaves, arrays)):
+            fd = np.zeros_like(x)
+            for idx in np.ndindex(x.shape):
+                up, dn = [a.copy() for a in arrays], [a.copy() for a in arrays]
+                up[k][idx] += h
+                dn[k][idx] -= h
+                diff = np.asarray(op.numpy(*up)) - np.asarray(op.numpy(*dn))
+                fd[idx] = np.sum(diff * weights) / (2 * h)
+            assert np.shape(leaf.grad) == x.shape
+            np.testing.assert_allclose(leaf.grad, fd, rtol=1e-6, atol=1e-8)
 
 
 def single_unit_network(w0):

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,23 @@ class TestConfigErrors:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # rejected before any work
+
+    def test_yaml_exponent_literals_are_numbers(self, tmp_path):
+        # YAML 1.2 floats; PyYAML's YAML 1.1 resolver reads them as strings
+        path = tmp_path / "exp.yaml"
+        path.write_text("training: {tolerance: 2e-5, learning_rate: 3E-4}\n"
+                        "pde: {domain: [-1e0, 1e0]}\n")
+        exp = cli.load_config(path)
+        assert exp.training.loss_tolerance == 2e-5
+        assert exp.training.learning_rate == 3e-4
+        assert exp.pde.domain == (-1.0, 1.0)
+
+    def test_quoted_exponent_literal_stays_a_string(self, tmp_path, capsys):
+        path = tmp_path / "quoted.yaml"
+        path.write_text("training: {tolerance: '1e-5'}\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "training.tolerance: expected a number, got '1e-5'" in capsys.readouterr().err
 
 
 class TestRun:
@@ -154,6 +173,15 @@ class TestReference:
         assert lines[0] == "x,u"
         assert len(lines) == 1 + 64  # one row per reference cell
 
+    def test_non_finite_solve_exits_3(self, tmp_path, capsys):
+        # the boundary ghosts' flux overflows in the first step
+        path = write_config(tmp_path, {"pde": {"boundary_value": 1.0e200}})
+        code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "reference solve went non-finite at t=0" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_tiny_grid_schema(self, tmp_path):
@@ -194,10 +222,14 @@ class TestSweep:
 
 
 def test_installed_entry_point_smoke():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hpinn.cli", "run", "--config", "/nonexistent.yaml"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
     assert "config error" in proc.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpinn.irk import ButcherTableau, gauss_legendre_tableau, verify_order_conditions
 
@@ -46,6 +48,20 @@ class TestTableaus:
             np.max(np.abs(t.a @ t.c ** (k - 1) - t.c**k / k)) for k in range(1, q + 1)
         )
         assert worst < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.integers(1, 100))
+    def test_any_stage_count_is_a_gauss_tableau(self, q):
+        t = gauss_legendre_tableau(q)
+        assert abs(t.b.sum() - 1.0) < 1e-13
+        assert np.max(np.abs(t.a.sum(axis=1) - t.c)) < 1e-13
+        assert np.max(np.abs(t.c + t.c[::-1] - 1.0)) < 1e-13
+        assert np.max(np.abs(t.b - t.b[::-1])) < 1e-13
+        stage_order = max(
+            np.max(np.abs(t.a @ t.c ** (k - 1) - t.c**k / k)) for k in range(1, q + 1)
+        )
+        assert stage_order < 1e-13
+        assert verify_order_conditions(t, 2 * q).max() < 1e-13
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -309,3 +309,28 @@ def test_constants_defaults_pinned():
     assert c.p == 6
     assert c.c_t == 5e-4
     assert DEFAULT_CONSTANTS == c
+
+
+fields = st.integers(8, 64).flatmap(
+    lambda n: arrays(np.float64, n, elements=st.floats(-100.0, 100.0)))
+
+
+class TestIndicatorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(values=fields)
+    def test_sign_flip_flags_the_same_points(self, values):
+        # every indicator is a quadratic form in differences of the field
+        mask = discontinuity_flags(grid(values)).flags
+        assert np.array_equal(discontinuity_flags(grid(-values)).flags, mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=fields)
+    def test_points_without_a_full_stencil_stay_smooth(self, values):
+        mask = discontinuity_flags(grid(values)).flags
+        assert set(np.unique(mask)) <= {0, 1}
+        assert not mask[:2].any() and not mask[-3:].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 64), level=st.floats(-1e6, 1e6))
+    def test_constant_fields_are_never_flagged(self, n, level):
+        assert discontinuity_flags(grid(np.full(n, level))).count() == 0
