@@ -11,9 +11,9 @@ parents' data plus its vector-Jacobian product (VJP), and ``fused`` is the one
 constructor that turns such a pair into a graph node.
 
 First and second derivatives with respect to the spatial input are graph
-nodes too: the network propagates (u, u_x, u_xx) jets (see ``Jet``) through
-the same primitives, so parameter gradients flow through any expression
-built from them.
+nodes too: each network layer is one fused node that maps the stacked
+(u, u_x, u_xx) jet (see ``Jet``), so parameter gradients flow through any
+expression built from them.
 
 All arithmetic is 64-bit; second-derivative graphs amplify roundoff and
 single precision is not sufficient for loss thresholds near 1e-5.
@@ -34,6 +34,7 @@ __all__ = [
     "pad_const",
     "window",
     "rows",
+    "slot",
     "take_cols",
     "matmul",
     "summation",
@@ -95,15 +96,16 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    def _acc(self, g):
-        # hot path: matching shapes accumulate in place (grad buffers are
-        # always freshly allocated here, never aliased to another node)
+    def _acc(self, g, borrowed):
+        # hot path: matching shapes accumulate in place.  The first gradient
+        # is adopted as this node's buffer when it is a fresh array nobody
+        # else holds; a borrowed one or a view is copied first (see `fused`).
         cur = self.grad
         if isinstance(g, np.ndarray) and g.shape == self.data.shape:
             if isinstance(cur, np.ndarray):
                 cur += g
             elif cur == 0.0:
-                self.grad = g.copy()
+                self.grad = g.copy() if borrowed or g.base is not None else g
             else:
                 self.grad = cur + g
         else:
@@ -155,8 +157,14 @@ def fused(parents, forward, vjp, label: str) -> Value:
     ``forward(*parent data)`` gives the node's data, at build and on every
     refresh.  ``vjp(grad, data, *parent data)`` returns one gradient per
     parent, in order, for the node's own ``data`` from the last ``forward``.
-    Every op has one or two parents; each arity gets its own closure pair so
-    that no node pays for argument packing.
+    Every op has one to three parents; each arity gets its own closure pair
+    so that no node pays for argument packing.
+
+    A returned gradient passes to its parent without a copy when it is a
+    fresh array: not the node's own ``grad``, not a view (``base is None``)
+    and not returned twice by the same call.  The parent then adds later
+    gradients into it in place, so a VJP must not keep or reuse an array it
+    returns.
     """
     parents = tuple(parents)
     out = Value(forward(*(p.data for p in parents)), parents, label)
@@ -167,19 +175,35 @@ def fused(parents, forward, vjp, label: str) -> Value:
             out.data = forward(a.data)
 
         def bwd():
-            (ga,) = vjp(out.grad, out.data, a.data)
-            a._acc(ga)
+            g = out.grad
+            (ga,) = vjp(g, out.data, a.data)
+            a._acc(ga, ga is g)
 
-    else:
+    elif len(parents) == 2:
         a, b = parents
 
         def fwd():
             out.data = forward(a.data, b.data)
 
         def bwd():
-            ga, gb = vjp(out.grad, out.data, a.data, b.data)
-            a._acc(ga)
-            b._acc(gb)
+            g = out.grad
+            ga, gb = vjp(g, out.data, a.data, b.data)
+            twice = ga is gb
+            a._acc(ga, twice or ga is g)
+            b._acc(gb, twice or gb is g)
+
+    else:
+        a, b, c = parents
+
+        def fwd():
+            out.data = forward(a.data, b.data, c.data)
+
+        def bwd():
+            g = out.grad
+            ga, gb, gc = vjp(g, out.data, a.data, b.data, c.data)
+            a._acc(ga, ga is g or ga is gb or ga is gc)
+            b._acc(gb, gb is g or gb is ga or gb is gc)
+            c._acc(gc, gc is g or gc is ga or gc is gb)
 
     out._fwd, out._bwd = fwd, bwd
     return out
@@ -231,6 +255,11 @@ def rows(a: Value, start: int, length: int) -> Value:
     """Contiguous slice of the first axis of a 2-D node."""
     sl = slice(start, start + length)
     return fused((a,), lambda x: x[sl], _scatter(sl), "rows")
+
+
+def slot(a: Value, i: int) -> Value:
+    """Entry `i` of the first axis, e.g. one slot of a stacked jet."""
+    return fused((a,), lambda x: x[i], _scatter(i), "slot")
 
 
 def take_cols(a: Value, idx) -> Value:
@@ -317,8 +346,8 @@ class Jet(NamedTuple):
     """A value u and its spatial derivatives u_x, u_xx as live graph nodes.
 
     A slot holding None is not tracked: u_x below derivative order 1, u_xx
-    below order 2.  ``network.forward_stages`` builds jets; everything
-    downstream only reads them.
+    below order 2.  ``network.forward_stages`` builds jets as slot reads of
+    its last layer's stacked node; everything downstream only reads them.
     """
 
     u: Value

@@ -387,8 +387,9 @@ def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: 
         (str(config_path), str(exp.out_dir), base_seed, q, dt, nu)
         for q in qs for dt in dts for nu in nus
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))  # the pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
@@ -411,6 +412,13 @@ def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: 
 # -- entry point -----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="hpinn",
@@ -423,7 +431,7 @@ def _parser():
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if verb == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+            p.add_argument("--jobs", type=_positive_int, default=1, help="parallel sweep cells")
             p.add_argument("--q", type=int, nargs="+", default=list(SWEEP_Q))
             p.add_argument("--dt", type=float, nargs="+", default=list(SWEEP_DT))
             p.add_argument("--nu", type=float, nargs="+", default=list(SWEEP_NU))

@@ -138,7 +138,11 @@ class TrainingDivergedError(RuntimeError):
 
 
 class Adam:
-    """Full-batch Adam over a list of parameter leaves."""
+    """Full-batch Adam over a list of parameter leaves.
+
+    The leaves' values move into one flat vector, and each leaf's ``data``
+    becomes a view of its slice, so a step is one update of the whole vector.
+    """
 
     def __init__(self, leaves, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.leaves = list(leaves)
@@ -147,19 +151,29 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.leaves]
-        self.v = [np.zeros_like(p.data) for p in self.leaves]
+        self.params = np.concatenate([p.data.ravel() for p in self.leaves])
+        self.grad = np.empty_like(self.params)
+        self._grads = []
+        start = 0
+        for p in self.leaves:
+            stop = start + p.data.size
+            p.data = self.params[start:stop].reshape(p.data.shape)
+            self._grads.append(self.grad[start:stop].reshape(p.data.shape))
+            start = stop
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
 
     def step(self):
         self.t += 1
         rate = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
-        for p, m, v in zip(self.leaves, self.m, self.v):
-            g = p.grad if isinstance(p.grad, np.ndarray) else np.full_like(p.data, p.grad)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - rate * m / (np.sqrt(v) + self.eps)
+        for p, g in zip(self.leaves, self._grads):
+            g[...] = p.grad
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.params -= rate * m / (np.sqrt(v) + self.eps)
 
 
 # -- graph assembly -----------------------------------------------------------

@@ -4,7 +4,9 @@ values of one implicit Runge-Kutta time step.
 Hidden activations are tanh, the output layer is linear, and parameters are
 Glorot-uniform weight matrices with zero biases, stored as autodiff leaves so
 that loss gradients reach every entry.  A whole batch of collocation points is
-evaluated by a single forward pass: the stage outputs form a (q+1, N) node.
+evaluated by a single forward pass: each layer is one graph node that maps
+the stacked (u, u_x, u_xx) jet, and the stage outputs are (q+1, N) slot reads
+of the last one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Jet, Value, matmul, tanh
+from .autodiff import Jet, Value, fused, slot
 
 __all__ = [
     "NetworkConfig",
@@ -83,31 +85,103 @@ def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
     Returns a Jet whose value is the (q+1, N) stage matrix; with order >= 1
     the jet also carries the stage derivatives u_x (and u_xx at order 2) with
     respect to the input, themselves differentiable with respect to the
-    parameters.
+    parameters.  Each layer is one node holding the stacked jet
+    (order+1, fan_out, N); the returned slots read the last layer's.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
-    u = Value(xv, label="x")
-    dx = Value(np.ones_like(xv), label="dseed") if order >= 1 else None
-    dxx = None  # x has no curvature
+    # the input jet (x, dx/dx = 1) is a constant; x has no curvature
+    h = np.stack([xv] if order == 0 else [xv, np.ones_like(xv)])
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        u = matmul(w, u)
-        dx = None if dx is None else matmul(w, dx)
-        dxx = None if dxx is None else matmul(w, dxx)
-        u = u + b
-        if k == last:
-            break
-        u = tanh(u)
-        if dx is None:
-            continue
-        # (tanh z)' = s z' and (tanh z)'' = s z'' - 2 tanh(z) s z'^2, s = sech^2 z
-        s = 1.0 - u * u
-        sdx = s * dx
-        if order >= 2:
-            curv = (u * sdx * dx) * -2.0
-            dxx = curv if dxx is None else curv + s * dxx
-        dx = sdx
-    return Jet(u, dx, dxx)
+        h = _dense_layer(w, b, h, order, activate=k < last)
+    return Jet(*(slot(h, i) for i in range(order + 1)))
+
+
+def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
+    """One dense layer, with tanh unless it is the output layer, as one node.
+
+    It maps the stacked input jet h (rows u, u_x, u_xx) to the stacked output
+    jet (order+1, fan_out, N).  h is the previous layer's node, or for the
+    first layer the constant (x, 1) array, which takes no gradient.  The VJP
+    repeats the node-by-node chain rule's products and its order of summing
+    three or more terms, so gradients are bit-identical to the unfused graph.
+    """
+    seed = None if isinstance(h, Value) else h
+    tape = []  # z, s = sech^2 z and y s z' from the last forward
+
+    def forward(wd, bd, hd=seed):
+        z = np.matmul(wd, hd)  # rows z, z', z''
+        if not activate:
+            np.add(z[0], bd, out=z[0])
+            return z
+        out = np.empty((order + 1,) + z.shape[1:])
+        y = np.tanh(np.add(z[0], bd, out=out[0]), out=out[0])
+        s = y * y
+        np.subtract(1.0, s, out=s)
+        ysdx = None
+        if order >= 1:
+            sdx = np.multiply(s, z[1], out=out[1])  # (tanh z)' = s z'
+            if order >= 2:
+                # (tanh z)'' = s z'' - 2 tanh(z) s z'^2
+                ysdx = y * sdx
+                curv = np.multiply(ysdx, z[1], out=out[2])
+                curv *= -2.0
+                if len(z) > 2:
+                    curv += s * z[2]
+        tape[:] = z, s, ysdx
+        return out
+
+    def vjp(g, out, wd, bd, hd=seed):
+        gz = _tanh_jet_vjp(g, out, *tape) if activate else g
+        gb = gz[0].sum(axis=1, keepdims=True)
+        # W's terms in the unfused graph's order: (z' term + z'' term) + z term
+        rows = [*range(1, len(gz)), 0]
+        gw = np.matmul(gz[rows[0]], hd[rows[0]].T)
+        for i in rows[1:]:
+            gw += np.matmul(gz[i], hd[i].T)
+        if seed is not None:
+            return gw, gb
+        return gw, gb, np.matmul(wd.T, gz)
+
+    parents = (w, b) if seed is not None else (w, b, h)
+    return fused(parents, forward, vjp, "dense_tanh" if activate else "dense")
+
+
+def _tanh_jet_vjp(g, out, z, s, ysdx):
+    """Gradient on the pre-activation jet z of the tanh jet `out`.
+
+    At order 2, y = out[0] takes four terms, summed as ((y s z' term + y y
+    term) + y y term) + next layer's term, the order in which the unfused
+    graph adds them; at order 1 the y s z' term is absent.
+    """
+    y = out[0]
+    gz = np.empty(z.shape)
+    if len(out) == 1:
+        np.multiply(g[0], s, out=gz[0])
+        return gz
+    gsdx, gy = g[1], None
+    if len(out) > 2:
+        gt2 = g[2] * -2.0  # on (y s z') z'
+        gysdx = gt2 * z[1]
+        gsdx = gsdx + gysdx * y
+        gy = gysdx * out[1]
+    gs = gsdx * z[1]
+    np.multiply(gsdx, s, out=gz[1])
+    if len(out) > 2:
+        gz[1] += gt2 * ysdx
+        if len(z) > 2:
+            gs += g[2] * z[2]
+            np.multiply(g[2], s, out=gz[2])
+    np.negative(gs, out=gs)
+    gs *= y  # each of y's two terms from s = 1 - y y
+    if gy is None:
+        gy = gs + gs
+    else:
+        gy += gs
+        gy += gs
+    gy += g[0]
+    np.multiply(gy, s, out=gz[0])
+    return gz
 
 
 def save_parameters(params: NetworkParameters, path) -> None:

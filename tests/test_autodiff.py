@@ -145,6 +145,44 @@ class TestStructuralOps:
         assert np.array_equal(out.data, [9.0, 9.0, 1.0, 2.0, 9.0])
 
 
+class TestGradientOwnership:
+    """A node keeps a fresh VJP result as its gradient buffer and adds later
+    gradients into it in place, so an array someone else can still read must
+    be copied first: another node's own gradient, a view of one, or one
+    array handed to two parents."""
+
+    @staticmethod
+    def shared(a):
+        """Both parents get the very same gradient array."""
+        b = Value(np.ones(3))
+        return ad.fused((a, b), np.add, lambda g, y, x, w: (g * 1.0,) * 2, "add_shared"), b
+
+    @pytest.mark.parametrize("build", [
+        lambda a: (a + 1.0, None),  # the VJP returns the node's own grad
+        lambda a: (ad.pad_const(a, 1, 1), None),  # a view of the node's grad
+        shared.__func__,
+    ], ids=["own", "view", "shared"])
+    def test_later_gradients_reach_no_other_holder(self, build):
+        a = Value(np.ones(3))
+        node, other = build(a)
+        # a's second gradient (3) arrives after `node` has passed on its own
+        Graph(ad.summation(node) + ad.summation(a * 3.0)).backward()
+        assert np.array_equal(a.grad, np.full(3, 4.0))
+        assert np.all(node.grad == 1.0)
+        assert other is None or np.array_equal(other.grad, np.ones(3))
+
+    def test_fresh_gradient_is_adopted(self):
+        a = Value(np.ones(3))
+        returned = []
+
+        def vjp(g, y, x):
+            returned.append(g * 2.0)
+            return (returned[-1],)
+
+        Graph(ad.summation(ad.fused((a,), lambda x: 2.0 * x, vjp, "double"))).backward()
+        assert a.grad is returned[0]
+
+
 class Op(NamedTuple):
     graph: Callable  # leaf Values -> Value
     numpy: Callable  # leaf arrays -> the same result in plain numpy

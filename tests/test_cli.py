@@ -220,6 +220,52 @@ class TestSweep:
         ) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Pool sizes the sweep asks for; cells run in-process as stubs."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        def stub_cell(cell):
+            _, _, _, q, dt, nu = cell
+            return {"q": q, "dt": dt, "nu": nu, "rel_error": "0.5", "iterations": "1",
+                    "converged": "true", "error": ""}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_sweep_cell", stub_cell)
+        return sizes
+
+    @pytest.mark.parametrize("jobs,cells,pool", [("64", 3, [3]), ("2", 3, [2]), ("8", 1, [])])
+    def test_pool_is_capped_at_the_cell_count(self, tmp_path, serial_pool, jobs, cells, pool):
+        dts = ["0.5", "0.25", "0.1"][:cells]
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                         "--out", str(tmp_path / "s"), "--jobs", jobs,
+                         "--q", "1", "--nu", "0.0", "--dt", *dts])
+        assert code == 0
+        assert serial_pool == pool
+        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1 + cells
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, serial_pool, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                      "--out", str(tmp_path / "s"), "--jobs", jobs, "--q", "1"])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert serial_pool == [] and not (tmp_path / "s").exists()
+
 
 def test_installed_entry_point_smoke():
     # the child imports the same package as this process, installed or not

@@ -28,6 +28,7 @@ from hpinn.model import (
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import PdeSpec, burgers
 from hpinn.weno import DiscontinuityMask, GridField
+from network_oracle import unfused_forward_stages
 from weno_oracle import dense_convection, masks
 
 
@@ -180,6 +181,48 @@ class TestFusedWenoBranch:
         flagged_graph = build_loss_graph(params, state, tab, pde, disc)[0]
         plain_graph = build_loss_graph(params, plain, tab, pde, disc)[0]
         assert len(flagged_graph.nodes) <= len(plain_graph.nodes) + 5
+
+
+class TestFusedNetwork:
+    """Loss gradients through the one-node layers against the unfused jet rule."""
+
+    N = 40
+    X = np.linspace(-1.0, 1.0, N)
+    SHOCK = np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0.0, 1e-4 / np.pi]),
+           q=st.integers(1, 10), flagged=st.sampled_from(["none", "dilated", "all"]),
+           reduction=st.sampled_from(["mean", "sum"]))
+    def test_parameter_gradients_match_unfused_oracle_bit_for_bit(self, seed, nu, q, flagged,
+                                                                 reduction):
+        rng = np.random.default_rng(seed)
+        data = GridField(self.SHOCK, -1.0, self.X[1] - self.X[0])
+        pde, tab = burgers(nu), gauss_legendre_tableau(q)
+        disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
+        state = step_state(data, 0.0, pde, disc)  # the dilated indicator mask
+        assert state.mask.count() > 0
+        if flagged != "dilated":
+            fill = np.full(self.N, flagged == "all", dtype=np.int64)
+            state = dataclasses.replace(state, mask=DiscontinuityMask(fill))
+        params = init_xavier(NetworkConfig(hidden_layers=int(rng.integers(1, 6)),
+                                           width=int(rng.integers(1, 21)),
+                                           outputs=q + 1, seed=seed))
+        for b in params.biases:
+            b.data = rng.uniform(-0.5, 0.5, size=b.data.shape)
+
+        def losses_and_gradients():
+            graph, losses, _ = build_loss_graph(params, state, tab, pde, disc, reduction)
+            graph.backward()
+            return [float(v.data) for v in losses], [leaf.grad.copy() for leaf in params.leaves()]
+
+        losses, grads = losses_and_gradients()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "forward_stages", unfused_forward_stages)
+            want_losses, want = losses_and_gradients()
+        assert [v.hex() for v in losses] == [v.hex() for v in want_losses]
+        for g, w in zip(grads, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 class TestResidualOperator:
@@ -526,3 +569,30 @@ class TestAdam:
             return w.data
 
         assert np.array_equal(descend(), descend())
+
+    def test_flat_update_matches_per_leaf_adam_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        shapes = [(4, 1), (4, 1), (3, 4), (3, 1), ()]
+        leaves = [Value(rng.standard_normal(s)) for s in shapes]
+        ref = [leaf.data.copy() for leaf in leaves]
+        adam = Adam(leaves, lr=1e-3)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        for t in range(1, 30):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-9, 2) for s in shapes]
+            grads[1] = 0.0  # a leaf the loss does not reach keeps the scalar 0.0
+            for leaf, g in zip(leaves, grads):
+                leaf.grad = g
+            adam.step()
+            rate = 1e-3 * np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
+            for i, g in enumerate(grads):
+                g = np.full_like(ref[i], g) if np.isscalar(g) else g
+                m[i] *= 0.9
+                m[i] += (1.0 - 0.9) * g
+                v[i] *= 0.999
+                v[i] += (1.0 - 0.999) * (g * g)
+                ref[i] = ref[i] - rate * m[i] / (np.sqrt(v[i]) + 1e-8)
+        for leaf, want in zip(leaves, ref):
+            assert leaf.data.shape == want.shape
+            assert leaf.data.tobytes() == want.tobytes()
+            assert np.shares_memory(leaf.data, adam.params)

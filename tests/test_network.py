@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpinn.autodiff import Graph, mean
 from hpinn.network import (
@@ -9,6 +11,7 @@ from hpinn.network import (
     load_parameters,
     save_parameters,
 )
+from network_oracle import unfused_forward_stages
 
 
 def numpy_forward(params, x):
@@ -104,6 +107,36 @@ class TestForward:
         jet = forward_stages(params, np.linspace(-1, 1, 12))
         Graph(mean(jet.u * jet.u)).backward()
         assert all(np.any(np.asarray(leaf.grad) != 0.0) for leaf in params.leaves())
+
+
+class TestFusedLayers:
+    @settings(max_examples=150, deadline=None)
+    @given(order=st.integers(0, 2), depth=st.integers(1, 5), width=st.integers(1, 20),
+           n=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+    def test_jets_match_unfused_oracle_bit_for_bit(self, order, depth, width, n, seed):
+        # n = 0 stands for a scalar x
+        rng = np.random.default_rng(seed)
+        params = init_xavier(NetworkConfig(hidden_layers=depth, width=width,
+                                           outputs=int(rng.integers(2, 12)), seed=seed))
+        for b in params.biases:
+            b.data = rng.uniform(-1.0, 1.0, size=b.data.shape)
+        x = float(rng.uniform(-1.0, 1.0)) if n == 0 else rng.uniform(-1.0, 1.0, size=n)
+        got = forward_stages(params, x, order)
+        want = unfused_forward_stages(params, x, order)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert (g is None) == (w is None) == (k > order)
+            if w is not None:
+                assert g.data.shape == w.data.shape == (params.config.outputs, max(n, 1))
+                assert np.array_equal(g.data, w.data)
+
+    def test_one_node_per_layer(self):
+        params = init_xavier(NetworkConfig(hidden_layers=5, width=20, outputs=11))
+        jet = forward_stages(params, np.linspace(-1, 1, 7), order=2)
+        nodes = Graph(mean(jet.u) + mean(jet.dx) + mean(jet.dxx)).nodes
+        labels = [n.label for n in nodes]
+        assert labels.count("dense_tanh") == 5 and labels.count("dense") == 1
+        assert labels.count("slot") == 3
+        assert len(nodes) == 12 + 6 + 3 + 5  # leaves, layers, slots, reduction
 
 
 class TestCheckpoint:
