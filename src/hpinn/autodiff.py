@@ -6,14 +6,15 @@ produced it.  Graphs are built eagerly through operator overloading, can be
 re-evaluated in place after leaf mutation (``Graph.refresh``), and are
 differentiated by a single reverse sweep (``Graph.backward``).
 
-Every op, from ``+`` to the WENO-Z branch, is a forward function of its
-parents' data plus its vector-Jacobian product (VJP), and ``fused`` is the one
-constructor that turns such a pair into a graph node.
-
-First and second derivatives with respect to the spatial input are graph
-nodes too: each network layer is one fused node that maps the stacked
-(u, u_x, u_xx) jet (see ``Jet``), so parameter gradients flow through any
-expression built from them.
+Every op is a forward function of its parents' data plus its
+vector-Jacobian product (VJP), and ``fused`` is the one constructor that
+turns such a pair into a graph node.  A step's training loss has
+hidden_layers + 2 op nodes: one per network layer, mapping the stacked
+(u, u_x, u_xx) jet (see ``Jet``), and one for everything after the last layer
+(``model.loss_node``).  The operator overloads, ``slot`` and ``summation``
+serve expressions built on those nodes; the generic ops the loss was once
+composed of (tanh, slicing, matmul, mean) live in the tests' oracle,
+``tests/loss_oracle.py``.
 
 All arithmetic is 64-bit; second-derivative graphs amplify roundoff and
 single precision is not sufficient for loss thresholds near 1e-5.
@@ -30,15 +31,8 @@ __all__ = [
     "Value",
     "Graph",
     "Jet",
-    "tanh",
-    "pad_const",
-    "window",
-    "rows",
     "slot",
-    "take_cols",
-    "matmul",
     "summation",
-    "mean",
     "fused",
 ]
 
@@ -219,73 +213,22 @@ def _div(a, b):
     return a / b
 
 
-def tanh(a: Value) -> Value:
-    return fused((a,), np.tanh, lambda g, y, x: (g * (1.0 - y * y),), "tanh")
-
-
 # -- structural operations --------------------------------------------------
-
-
-def _scatter(sl):
-    """VJP of reading slice `sl`: the gradient placed in zeros of the parent's shape."""
-
-    def vjp(g, y, x):
-        out = np.zeros_like(x)
-        out[sl] = g
-        return (out,)
-
-    return vjp
-
-
-def pad_const(a: Value, left: int, right: int, value: float = 0.0) -> Value:
-    """Extend the last axis by `left`/`right` ghost entries holding `value`."""
-    pad_width = [(0, 0)] * (a.data.ndim - 1) + [(left, right)]
-    sl = (Ellipsis, slice(left, left + a.data.shape[-1]))
-    return fused((a,), lambda x: np.pad(x, pad_width, constant_values=value),
-                 lambda g, y, x: (g[sl],), "pad")
-
-
-def window(a: Value, start: int, length: int) -> Value:
-    """Contiguous slice of the last axis."""
-    sl = (Ellipsis, slice(start, start + length))
-    return fused((a,), lambda x: x[sl], _scatter(sl), "window")
-
-
-def rows(a: Value, start: int, length: int) -> Value:
-    """Contiguous slice of the first axis of a 2-D node."""
-    sl = slice(start, start + length)
-    return fused((a,), lambda x: x[sl], _scatter(sl), "rows")
 
 
 def slot(a: Value, i: int) -> Value:
     """Entry `i` of the first axis, e.g. one slot of a stacked jet."""
-    return fused((a,), lambda x: x[i], _scatter(i), "slot")
-
-
-def take_cols(a: Value, idx) -> Value:
-    """Gather columns of the last axis at fixed integer indices."""
-    idx = tuple(int(i) for i in idx)
 
     def vjp(g, y, x):
         out = np.zeros_like(x)
-        np.add.at(out, (Ellipsis, idx), g)  # an index may repeat
+        out[i] = g
         return (out,)
 
-    return fused((a,), lambda x: x[..., idx], vjp, "take_cols")
-
-
-def matmul(a: Value, b: Value) -> Value:
-    """2-D matrix product; used for dense layers and constant stage mixing."""
-    return fused((a, b), np.matmul, lambda g, y, x, w: (g @ w.T, x.T @ g), "matmul")
+    return fused((a,), lambda x: x[i], vjp, "slot")
 
 
 def summation(a: Value) -> Value:
     return fused((a,), np.sum, lambda g, y, x: (np.broadcast_to(g, x.shape),), "sum")
-
-
-def mean(a: Value) -> Value:
-    size = a.data.size
-    return fused((a,), np.mean, lambda g, y, x: (np.broadcast_to(g / size, x.shape),), "mean")
 
 
 # -- graph ------------------------------------------------------------------

@@ -5,12 +5,13 @@ One implicit Runge-Kutta step is learned at a time.  The network outputs all
 q+1 stage values at once; the PDE operator applied to the first q stages uses
 automatic differentiation for the convection term at smooth points and the
 WENO-Z divided difference at points flagged by the discontinuity indicator
-(the viscous term always comes from automatic differentiation).  The WENO-Z
-branch is evaluated only at the flagged points and their 3-cell halos, as one
-graph node with a hand-written vector-Jacobian product.  Folding the
+(the viscous term always comes from automatic differentiation).  Folding the
 stage values back through the tableau must reproduce the known data u^n at
 every collocation point, which together with the boundary mismatch forms the
-training loss.
+training loss.  Everything after the network's last layer -- the residual,
+with the WENO-Z branch evaluated only at the flagged points and their 3-cell
+halos, the tableau fold and the loss -- is one graph node with a hand-written
+vector-Jacobian product (`loss_node`).
 
 The discontinuity mask and the splitting speed lambda are computed once per
 time step from the known data u^n and then frozen, so the loss surface stays
@@ -26,14 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import EvaluationError, Graph, Jet, Value
+from .autodiff import EvaluationError, Graph, Value, fused
 from .irk import ButcherTableau, gauss_legendre_tableau
-from .network import NetworkConfig, NetworkParameters, forward_stages, init_xavier
+from .network import NetworkConfig, NetworkParameters, init_xavier, stacked_stages
 from .pde import PdeSpec
 from .refsolver import SolverConfig, relative_error, solve
 from .weno import (
-    DEFAULT_CONSTANTS,
     DiscontinuityMask,
     GridField,
     SparseWenoZ,
@@ -50,10 +49,7 @@ __all__ = [
     "MarchResult",
     "TrainingDivergedError",
     "Adam",
-    "hybrid_convection",
-    "residual_operator",
-    "stage_targets",
-    "compute_loss",
+    "loss_node",
     "build_loss_graph",
     "train_step",
     "march",
@@ -63,6 +59,13 @@ __all__ = [
 # lam = LAMBDA_SAFETY * max|f'(u^n)|.  The reference solver recomputes its
 # speed every stage and keeps its own factor (refsolver.LAMBDA_SAFETY).
 LAMBDA_SAFETY = 1.1
+
+# Adam's decay rates and denominator floor (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# Imaginary step of the complex-step derivative of f'(u); a power of two, so
+# the step and the division by it are exact.
+CURVATURE_STEP = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,9 @@ class Adam:
     becomes a view of its slice, so a step is one update of the whole vector.
     """
 
-    def __init__(self, leaves, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, leaves, lr=1e-4):
         self.leaves = list(leaves)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = np.concatenate([p.data.ravel() for p in self.leaves])
         self.grad = np.empty_like(self.params)
@@ -165,127 +165,106 @@ class Adam:
 
     def step(self):
         self.t += 1
-        rate = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
+        rate = self.lr * np.sqrt(1.0 - BETA2**self.t) / (1.0 - BETA1**self.t)
         for p, g in zip(self.leaves, self._grads):
             g[...] = p.grad
         g, m, v = self.grad, self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        self.params -= rate * m / (np.sqrt(v) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        self.params -= rate * m / (np.sqrt(v) + EPS)
 
 
 # -- graph assembly -----------------------------------------------------------
 
 
-def hybrid_convection(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: float,
-                      dx: float, consts: WenoConstants = DEFAULT_CONSTANTS,
-                      force_blend: bool = False) -> Value:
-    """f(u)_x per stage row: autodiff at smooth points, WENO-Z where flagged.
+def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde: PdeSpec,
+              disc: Discretization, reduction: str = "mean"):
+    """L = L_PDE + L_BC from the stacked stage jet, as one graph node.
 
-    The WENO-Z branch is one graph node: it computes the divided difference
-    at the flagged points only, from their 3-cell halos with ghosts at the
-    boundary value and the step-frozen lam, and passes the autodiff term
-    through everywhere else.  Its hand-written VJP carries parameter
-    gradients through the reconstruction into the stage values.  With an
-    all-zero mask (and no forcing) the result is the autodiff term itself;
-    forcing builds the node with no flagged point.
+    The residual N_j = f(u_j)_x - nu u_j,xx - h of the first q stage rows takes
+    its convection from autodiff, f'(u) u_x, except at the flagged points,
+    where the WENO-Z divided difference (`SparseWenoZ`) replaces it; the
+    viscous term always comes from autodiff.  Folding the stages back through
+    the tableau, row i (i <= q) is u^{n+c_i} + dt sum_j a_ij N_j and the last
+    row u^{n+1} + dt sum_j b_j N_j, and every row should match the datum u^n.
+    L_PDE averages the squared mismatch over all points and all q+1 rows,
+    L_BC the squared stage outputs against the Dirichlet value at both ends;
+    "sum" keeps the raw sums of the discrete-time formulation instead.
+
+    Returns (total, l_pde, l_bc); the last two are leaves outside the graph
+    that every refresh of `total` rewrites.  The VJP repeats the products and
+    the order of summation of the node-per-op graph the tests keep as an
+    oracle, so losses and gradients match it bit for bit; it forms no
+    gradient for the tableau, the data or the source.
     """
-    conv_ad = pde.dflux(stages.u) * stages.dx
-    if mask.count() == 0 and not force_blend:
-        return conv_ad
-    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx, pde.boundary_value, consts)
-    points = weno.points
+    q, n = tableau.q, len(state.data)
+    mix = np.vstack([tableau.a, tableau.b[None, :]]) * disc.dt
+    data, nu, bv = state.data.values, pde.viscosity, pde.boundary_value
+    source = None if pde.source is None else np.stack(
+        [pde.source(state.data.x, state.t_n + ci * disc.dt) for ci in tableau.c])
+    weno = None if state.mask.count() == 0 else SparseWenoZ(
+        state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx, bv, disc.constants)
+    reduce = np.mean if reduction == "mean" else np.sum
+    ends = (0, n - 1)
+    l_pde, l_bc = Value(0.0, label="l_pde"), Value(0.0, label="l_bc")
+    tape = []  # f'(u), the target and the boundary mismatch from the last forward
 
-    def forward(conv, u):
-        out = conv.copy()
-        out[..., points] = weno(u)
-        return out
+    def forward(jet):
+        u, ux = jet[0, :q], jet[1, :q]
+        speed = pde.dflux(u)
+        resid = speed * ux
+        if weno is not None:
+            resid[..., weno.points] = weno(u)
+        if nu > 0.0:
+            resid = resid - jet[2, :q] * nu
+        if source is not None:
+            resid = resid - source
+        diff = jet[0] + mix @ resid - data
+        bdiff = jet[0][..., ends] - bv
+        l_pde.data, l_bc.data = reduce(diff * diff), reduce(bdiff * bdiff)
+        tape[:] = speed, diff, bdiff
+        return l_pde.data + l_bc.data
 
-    def vjp(grad, data, conv, u):
-        grad_conv = grad.copy()
-        grad_conv[..., points] = 0.0
-        return grad_conv, weno.vjp(grad[..., points])
+    def vjp(g, total, jet):
+        speed, diff, bdiff = tape
+        u, ux = jet[0, :q], jet[1, :q]
+        gdiff = diff * (g / diff.size if reduction == "mean" else g)
+        gdiff += gdiff  # d(x x) = x dx + x dx
+        gbdiff = bdiff * (g / bdiff.size if reduction == "mean" else g)
+        gbdiff += gbdiff
+        gresid = mix.T @ gdiff
+        gconv, gweno = gresid, 0.0
+        if weno is not None:
+            gweno = weno.vjp(gresid[..., weno.points])
+            gconv = gresid.copy()
+            gconv[..., weno.points] = 0.0
+        # f''(u) by a complex step: exact for a polynomial f', 1.0 for Burgers
+        curvature = np.imag(pde.dflux(u + 1j * CURVATURE_STEP)) / CURVATURE_STEP
+        gu = gweno + gconv * ux * curvature
+        out = np.zeros_like(jet)
+        out[0] += gdiff
+        out[0, :q] += gu
+        out[0][..., ends] += gbdiff
+        out[1, :q] += gconv * speed
+        if nu > 0.0:
+            out[2, :q] -= gresid * nu
+        return (out,)
 
-    return ad.fused((conv_ad, stages.u), forward, vjp, "weno_z")
-
-
-def residual_operator(stages: Jet, mask: DiscontinuityMask, pde: PdeSpec, lam: float,
-                      grid: GridField, t_n: float, dt: float, tableau: ButcherTableau,
-                      consts: WenoConstants = DEFAULT_CONSTANTS,
-                      force_blend: bool = False) -> Value:
-    """N[u] = f(u)_x - nu*u_xx - h for the first q stage rows.
-
-    The viscous term always uses the autodiff second derivative, in smooth
-    and flagged cells alike.
-    """
-    q = tableau.q
-    rows = Jet(
-        ad.rows(stages.u, 0, q),
-        None if stages.dx is None else ad.rows(stages.dx, 0, q),
-        None if stages.dxx is None else ad.rows(stages.dxx, 0, q),
-    )
-    resid = hybrid_convection(rows, mask, pde, lam, grid.dx, consts, force_blend)
-    if pde.viscosity > 0.0:
-        if rows.dxx is None:
-            raise ValueError("viscous residual needs order-2 stage fields")
-        resid = resid - pde.viscosity * rows.dxx
-    if pde.source is not None:
-        h = np.stack([pde.source(grid.x, t_n + ci * dt) for ci in tableau.c])
-        resid = resid - Value(h, label="source")
-    return resid
-
-
-def stage_targets(stage_values: Value, residuals: Value, tableau: ButcherTableau,
-                  dt: float) -> Value:
-    """Fold stage values and residuals back to the step start.
-
-    Row i (i <= q) is u^{n+c_i} + dt sum_j a_ij N_j; the last row is
-    u^{n+1} + dt sum_j b_j N_j.  Every row should match the same datum u^n.
-    """
-    q = tableau.q
-    if stage_values.data.shape[0] != q + 1 or residuals.data.shape[0] != q:
-        raise ValueError("stage/residual row counts do not match the tableau")
-    mix = np.vstack([tableau.a, tableau.b[None, :]]) * dt
-    return stage_values + ad.matmul(Value(mix, label="tableau"), residuals)
-
-
-def compute_loss(targets: Value, stage_values: Value, data: np.ndarray,
-                 boundary_value: float, reduction: str = "mean"):
-    """L = L_PDE + L_BC as graph nodes.
-
-    L_PDE averages the squared target-vs-data mismatch over all collocation
-    points and all q+1 targets; L_BC averages the squared stage outputs
-    against the Dirichlet value at both endpoints.  "sum" keeps the raw sums
-    of the discrete-time formulation instead.
-    """
-    reduce = ad.mean if reduction == "mean" else ad.summation
-    n = data.shape[0]
-    diff = targets - Value(data, label="data")
-    l_pde = reduce(diff * diff)
-    bvals = ad.take_cols(stage_values, (0, n - 1))
-    bdiff = bvals - boundary_value if boundary_value != 0.0 else bvals
-    l_bc = reduce(bdiff * bdiff)
-    total = l_pde + l_bc
-    return total, l_pde, l_bc
+    return fused((stages,), forward, vjp, "loss"), l_pde, l_bc
 
 
 def build_loss_graph(params: NetworkParameters, state: TimeStepState, tableau: ButcherTableau,
-                     pde: PdeSpec, disc: Discretization, reduction: str = "mean",
-                     force_blend: bool = False):
-    """Assemble the full training loss for one step; returns (graph, losses, jet)."""
-    order = 2 if pde.viscosity > 0.0 else 1
-    jet = forward_stages(params, state.data.x, order)
-    resid = residual_operator(
-        jet, state.mask, pde, state.lam, state.data, state.t_n, disc.dt, tableau,
-        consts=disc.constants, force_blend=force_blend,
-    )
-    targets = stage_targets(jet.u, resid, tableau, disc.dt)
-    total, l_pde, l_bc = compute_loss(
-        targets, jet.u, state.data.values, pde.boundary_value, reduction
-    )
-    return Graph(total), (total, l_pde, l_bc), jet
+                     pde: PdeSpec, disc: Discretization, reduction: str = "mean"):
+    """The training loss of one step; returns (graph, (total, l_pde, l_bc), stages).
+
+    `stages` is the network's last layer, the stacked jet (order+1, q+1, N):
+    the graph is one node per layer plus `loss_node`.
+    """
+    stages = stacked_stages(params, state.data.x, 2 if pde.viscosity > 0.0 else 1)
+    losses = loss_node(stages, state, tableau, pde, disc, reduction)
+    return Graph(losses[0]), losses, stages
 
 
 # -- per-step training and marching -------------------------------------------
@@ -325,7 +304,7 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
 
     iterations = 0
     try:
-        graph, (total, l_pde, l_bc), jet = build_loss_graph(
+        graph, (total, l_pde, l_bc), stages = build_loss_graph(
             params, state, tableau, pde, disc, config.loss_reduction
         )
         adam = Adam(params.leaves(), config.learning_rate)
@@ -342,7 +321,7 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     except EvaluationError as err:
         raise EvaluationError(f"{err} at step {step_index}, iteration {iterations}") from err
 
-    u_next = GridField(jet.u.data[q].copy(), state.data.x0, state.data.dx)
+    u_next = GridField(stages.data[0, q].copy(), state.data.x0, state.data.dx)
     diag = StepDiagnostics(
         step=step_index,
         t_start=state.t_n,

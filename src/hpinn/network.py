@@ -5,8 +5,9 @@ Hidden activations are tanh, the output layer is linear, and parameters are
 Glorot-uniform weight matrices with zero biases, stored as autodiff leaves so
 that loss gradients reach every entry.  A whole batch of collocation points is
 evaluated by a single forward pass: each layer is one graph node that maps
-the stacked (u, u_x, u_xx) jet, and the stage outputs are (q+1, N) slot reads
-of the last one.
+the stacked (u, u_x, u_xx) jet.  The training loss reads the last layer's node
+(``stacked_stages``) directly; ``forward_stages`` splits it into (q+1, N) slot
+reads.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "NetworkConfig",
     "NetworkParameters",
     "init_xavier",
+    "stacked_stages",
     "forward_stages",
     "save_parameters",
     "load_parameters",
@@ -79,14 +81,12 @@ def init_xavier(config: NetworkConfig) -> NetworkParameters:
     return NetworkParameters(config, weights, biases)
 
 
-def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
-    """Evaluate the network over x (scalar or 1-D batch) as graph nodes.
+def stacked_stages(params: NetworkParameters, x, order: int = 0) -> Value:
+    """The last layer's node: the stacked stage jet (order+1, q+1, N) over x.
 
-    Returns a Jet whose value is the (q+1, N) stage matrix; with order >= 1
-    the jet also carries the stage derivatives u_x (and u_xx at order 2) with
-    respect to the input, themselves differentiable with respect to the
-    parameters.  Each layer is one node holding the stacked jet
-    (order+1, fan_out, N); the returned slots read the last layer's.
+    Row 0 holds the q+1 stage values at the points of x (a scalar or 1-D
+    batch); with order >= 1 row 1 holds their derivatives u_x, and with order 2
+    row 2 holds u_xx, all differentiable with respect to the parameters.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
     # the input jet (x, dx/dx = 1) is a constant; x has no curvature
@@ -94,6 +94,12 @@ def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = _dense_layer(w, b, h, order, activate=k < last)
+    return h
+
+
+def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
+    """`stacked_stages` as a Jet of (q+1, N) slot reads of the last layer."""
+    h = stacked_stages(params, x, order)
     return Jet(*(slot(h, i) for i in range(order + 1)))
 
 

@@ -3,7 +3,10 @@
     u_t + f(u)_x = nu * u_xx + h(x, t)
 
 on an interval with Dirichlet boundaries.  ``flux``/``dflux`` are written as
-plain arithmetic so they apply equally to ndarrays and autodiff graph nodes.
+plain arithmetic.  The package applies them to ndarrays only, and ``dflux``
+also to complex ones: the training loss takes f''(u) from it by a complex
+step, which is exact when f' is a polynomial.  The tests' oracle applies them
+to autodiff graph nodes too.
 """
 
 from __future__ import annotations

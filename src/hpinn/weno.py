@@ -4,10 +4,10 @@ discontinuous.
 
 The stencil kernels are plain arithmetic over their operands, so the same
 formulas serve ndarrays (reference solver, indicator) and autodiff Values
-(the dense graph composition the tests keep as an oracle).  Hybrid training
-graphs use ``SparseWenoZ`` instead: the WENO-Z divided difference at the
+(the dense graph composition the tests keep as an oracle).  The training
+loss uses ``SparseWenoZ`` instead: the WENO-Z divided difference at the
 flagged points only, read from their 3-cell halos, with a hand-written
-vector-Jacobian product so the whole branch is one graph node.
+vector-Jacobian product that the loss node (``model.loss_node``) calls.
 
 Smoothness indicators use the Jiang-Shu form with BOTH terms squared.  The
 unsquared 13/12 term sometimes seen in print can go negative, which breaks

@@ -10,7 +10,8 @@ gradients bit for bit.
 
 import numpy as np
 
-from hpinn.autodiff import Jet, Value, matmul, tanh
+from hpinn.autodiff import Jet, Value
+from loss_oracle import matmul, tanh
 
 
 def unfused_forward_stages(params, x, order=0):

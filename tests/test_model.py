@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hpinn.autodiff as ad
-import hpinn.model as model
 from hpinn.autodiff import EvaluationError, Graph, Jet, Value
 from hpinn.irk import gauss_legendre_tableau
 from hpinn.model import (
@@ -17,17 +17,20 @@ from hpinn.model import (
     TrainingConfig,
     TrainingDivergedError,
     build_loss_graph,
-    compute_loss,
-    hybrid_convection,
     march,
-    residual_operator,
-    stage_targets,
     step_state,
     train_step,
 )
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import PdeSpec, burgers
 from hpinn.weno import DiscontinuityMask, GridField
+from loss_oracle import (
+    compute_loss,
+    hybrid_convection,
+    loss_graph,
+    residual_operator,
+    stage_targets,
+)
 from network_oracle import unfused_forward_stages
 from weno_oracle import dense_convection, masks
 
@@ -84,7 +87,7 @@ class TestHybridConvection:
         jet = constant_jet(u, ux)
         mask = DiscontinuityMask(np.zeros(self.n, dtype=np.int64))
         fast = hybrid_convection(jet, mask, self.pde, 1.1, self.dx)
-        blended = hybrid_convection(jet, mask, self.pde, 1.1, self.dx, force_blend=True)
+        blended = dense_convection(jet, mask, self.pde, 1.1, self.dx)
         direct = u * ux
         assert np.max(np.abs(fast.data - direct)) == 0.0
         assert np.max(np.abs(blended.data - fast.data)) < 1e-14
@@ -121,7 +124,7 @@ class TestHybridConvection:
 
 
 class TestFusedWenoBranch:
-    """The one-node WENO-Z branch against the dense composition it replaces."""
+    """The sparse WENO-Z branch against the dense composition it replaced."""
 
     N = 32
     X = np.linspace(-1.0, 1.0, N)
@@ -133,7 +136,7 @@ class TestFusedWenoBranch:
            flags=masks(N))
     def test_convection_matches_dense_oracle(self, u, ux, flags):
         jet, mask, pde = constant_jet(u, ux), DiscontinuityMask(flags), burgers(0.0)
-        got = hybrid_convection(jet, mask, pde, 2.5, self.DX, force_blend=True).data
+        got = hybrid_convection(jet, mask, pde, 2.5, self.DX).data
         want = dense_convection(jet, mask, pde, 2.5, self.DX).data
         smooth = flags == 0
         assert np.array_equal(got[:, smooth], want[:, smooth])
@@ -152,16 +155,13 @@ class TestFusedWenoBranch:
         for leaf in params.leaves():
             leaf.data = rng.uniform(-0.8, 0.8, size=leaf.data.shape)
 
-        def loss_and_gradients():
-            graph, (total, _, _), _ = build_loss_graph(params, state, tab, pde, disc,
-                                                       force_blend=True)
+        def loss_and_gradients(build):
+            graph, (total, _, _), _ = build(params, state, tab, pde, disc)
             graph.backward()
             return float(total.data), [leaf.grad.copy() for leaf in params.leaves()]
 
-        loss, grads = loss_and_gradients()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "hybrid_convection", dense_convection)
-            want_loss, want = loss_and_gradients()
+        loss, grads = loss_and_gradients(build_loss_graph)
+        want_loss, want = loss_and_gradients(partial(loss_graph, convection=dense_convection))
         assert loss == want_loss
         scale = max(np.max(np.abs(g)) for g in want)
         assert max(np.max(np.abs(g - w)) for g, w in zip(grads, want)) <= 1e-12 * scale
@@ -211,18 +211,105 @@ class TestFusedNetwork:
         for b in params.biases:
             b.data = rng.uniform(-0.5, 0.5, size=b.data.shape)
 
-        def losses_and_gradients():
-            graph, losses, _ = build_loss_graph(params, state, tab, pde, disc, reduction)
+        def losses_and_gradients(build):
+            graph, losses, _ = build(params, state, tab, pde, disc, reduction)
             graph.backward()
             return [float(v.data) for v in losses], [leaf.grad.copy() for leaf in params.leaves()]
 
-        losses, grads = losses_and_gradients()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "forward_stages", unfused_forward_stages)
-            want_losses, want = losses_and_gradients()
+        losses, grads = losses_and_gradients(build_loss_graph)
+        want_losses, want = losses_and_gradients(partial(loss_graph,
+                                                         forward=unfused_forward_stages))
         assert [v.hex() for v in losses] == [v.hex() for v in want_losses]
         for g, w in zip(grads, want):
             assert g.shape == w.shape and np.array_equal(g, w)
+
+
+class TestLossNode:
+    """The one-node loss tail against the node-per-op composition it replaced."""
+
+    N = 40
+    X = np.linspace(-1.0, 1.0, N)
+    SHOCK = np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X))
+
+    def case(self, nu, q, flagged, boundary_value=0.0, source=None, seed=0, layers=2,
+              dflux=lambda u: u, flux=lambda u: u * u * 0.5):
+        pde = PdeSpec(flux=flux, dflux=dflux, viscosity=nu, source=source,
+                      boundary_value=boundary_value)
+        disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
+        data = GridField(self.SHOCK + boundary_value, -1.0, self.X[1] - self.X[0])
+        state = step_state(data, 0.3, pde, disc)  # the dilated indicator mask
+        assert state.mask.count() > 0
+        if flagged != "dilated":
+            fill = np.full(self.N, flagged == "all", dtype=np.int64)
+            state = dataclasses.replace(state, mask=DiscontinuityMask(fill))
+        params = init_xavier(NetworkConfig(hidden_layers=layers, width=6, outputs=q + 1,
+                                           seed=seed))
+        rng = np.random.default_rng(seed)
+        for b in params.biases:
+            b.data = rng.uniform(-0.5, 0.5, size=b.data.shape)
+        return params, state, gauss_legendre_tableau(q), pde, disc
+
+    @staticmethod
+    def losses_and_gradients(graph, losses, params):
+        graph.backward()
+        return [float(v.data) for v in losses], [leaf.grad.copy() for leaf in params.leaves()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0.0, 1e-4 / np.pi]),
+           q=st.one_of(st.integers(1, 10), st.just(50)),
+           flagged=st.sampled_from(["none", "dilated", "all"]),
+           reduction=st.sampled_from(["mean", "sum"]),
+           boundary_value=st.sampled_from([0.0, 0.25]), with_source=st.booleans())
+    def test_matches_oracle_bit_for_bit(self, seed, nu, q, flagged, reduction,
+                                        boundary_value, with_source):
+        source = (lambda x, t: np.sin(np.pi * x) * np.cos(t)) if with_source else None
+        params, state, tab, pde, disc = self.case(nu, q, flagged, boundary_value, source, seed)
+        fused_graph, fused_losses, _ = build_loss_graph(params, state, tab, pde, disc, reduction)
+        oracle_graph, oracle_losses, _ = loss_graph(params, state, tab, pde, disc, reduction)
+        rng = np.random.default_rng(seed)
+        for sweep in range(2):  # at build, then after a refresh on moved parameters
+            if sweep:
+                for leaf in params.leaves():
+                    leaf.data = leaf.data + rng.uniform(-0.1, 0.1, size=leaf.data.shape)
+                fused_graph.refresh()
+                oracle_graph.refresh()
+            losses, grads = self.losses_and_gradients(fused_graph, fused_losses, params)
+            want_losses, want = self.losses_and_gradients(oracle_graph, oracle_losses, params)
+            assert [v.hex() for v in losses] == [v.hex() for v in want_losses]
+            for g, w in zip(grads, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(layers=st.integers(1, 5), nu=st.sampled_from([0.0, 1e-4 / np.pi]),
+           q=st.sampled_from([1, 4, 10, 50]),
+           flagged=st.sampled_from(["none", "dilated", "all"]))
+    def test_graph_has_one_node_per_layer_and_one_for_the_loss(self, layers, nu, q, flagged):
+        params, state, tab, pde, disc = self.case(nu, q, flagged, layers=layers)
+        graph, (total, _, _), _ = build_loss_graph(params, state, tab, pde, disc)
+        assert sum(1 for node in graph.nodes if node.parents) == layers + 2
+        assert graph.root is total and total.label == "loss"
+
+    @pytest.mark.parametrize("flagged", ["none", "dilated"])
+    def test_curvature_of_a_cubic_flux(self, flagged):
+        # f = u^3/3: the convection gradient needs f''(u) = 2u, which the
+        # node takes from f' by a complex step; the oracle builds u*u as nodes
+        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 3, flagged,
+                                                   flux=lambda u: u * u * u * (1.0 / 3.0),
+                                                   dflux=lambda u: u * u)
+        state = dataclasses.replace(state, lam=1.1 * pde.max_speed(state.data.values))
+        losses, grads = self.losses_and_gradients(
+            *build_loss_graph(params, state, tab, pde, disc)[:2], params)
+        want_losses, want = self.losses_and_gradients(
+            *loss_graph(params, state, tab, pde, disc)[:2], params)
+        assert losses == pytest.approx(want_losses, rel=1e-14)
+        for g, w in zip(grads, want):
+            np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-13 * np.max(np.abs(w)))
+
+    def test_train_step_reads_the_last_stage_row(self):
+        params, state, tab, pde, disc = self.case(0.0, 2, "dilated")
+        config = TrainingConfig(max_iterations=3, loss_tolerance=1e-300)
+        params, u_next, _ = train_step(state, params, tab, pde, disc, config)
+        assert np.array_equal(u_next.values, forward_stages(params, state.data.x).u.data[2])
 
 
 class TestResidualOperator:
@@ -404,8 +491,8 @@ class TestGradientFlow:
         assert checks >= 3
 
     def test_hybrid_consistency_zero_mask(self):
-        # forcing the blend machinery with an all-zero mask must reproduce
-        # the pure-autodiff residual exactly
+        # the dense 0/1 blend with an all-zero mask must reproduce the
+        # pure-autodiff loss exactly
         n = 48
         x = np.linspace(-1, 1, n)
         data = GridField(-np.sin(np.pi * x), -1.0, x[1] - x[0])
@@ -417,9 +504,8 @@ class TestGradientFlow:
         for seed in (0, 1, 2):
             params = init_xavier(NetworkConfig(outputs=3, seed=seed))
             _, (plain, _, _), _ = build_loss_graph(params, state, tab, pde, disc)
-            _, (blend, _, _), _ = build_loss_graph(
-                params, state, tab, pde, disc, force_blend=True
-            )
+            _, (blend, _, _), _ = loss_graph(params, state, tab, pde, disc,
+                                             convection=dense_convection)
             assert abs(float(plain.data) - float(blend.data)) < 1e-14
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -177,6 +177,10 @@ class TestSparseWenoZ:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), flags=masks(N))
+    # the operator is strongly curved here: a two-point difference at h=1e-6
+    # misses the VJP by 8.5e-6 relative, the five-point one by 1.0e-7
+    @example(seed=33751, flags=np.array([0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1,
+                                         1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1]))
     def test_vjp_matches_central_differences(self, seed, flags):
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.5, 1.5, size=(2, self.N))
@@ -185,10 +189,14 @@ class TestSparseWenoZ:
         op = self.op(flags, boundary_value=0.3)
         op(u)
         grad = op.vjp(cotangent)
-        h = 1e-6
-        up = np.sum(cotangent * op(u + h * direction))
-        dn = np.sum(cotangent * op(u - h * direction))
-        assert np.sum(grad * direction) == pytest.approx((up - dn) / (2 * h), rel=1e-6, abs=1e-8)
+
+        def along(step):
+            return np.sum(cotangent * op(u + step * direction))
+
+        # fourth-order central difference
+        h = 1e-5
+        fd = (-along(2 * h) + 8 * along(h) - 8 * along(-h) + along(-2 * h)) / (12 * h)
+        assert np.sum(grad * direction) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_no_flagged_point(self):
         op = self.op(np.zeros(self.N, dtype=np.int64))

@@ -1,30 +1,31 @@
 """Dense WENO-Z convection and random flag masks, shared by the tests of the
-sparse fused branch (`weno.SparseWenoZ`, `model.hybrid_convection`).
+sparse WENO-Z branch (`weno.SparseWenoZ`, inside `model.loss_node`).
 
 `dense_convection` is the graph composition the training loss used before the
 branch became one node: WENO-Z over every point of every stage row, from the
 constant ghost extension, then a 0/1 blend with the autodiff term.  It is the
-oracle for both the values and the gradients of the fused node.
+oracle for both the values and the gradients of the sparse branch.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hpinn.autodiff as ad
 from hpinn.weno import DEFAULT_CONSTANTS, split_flux, weno_flux_divergence
+from loss_oracle import pad_const, window
 
 
-def dense_convection(stages, mask, pde, lam, dx, consts=DEFAULT_CONSTANTS, force_blend=False):
-    """`model.hybrid_convection` as a composition of generic graph nodes.
+def dense_convection(stages, mask, pde, lam, dx, consts=DEFAULT_CONSTANTS):
+    """`loss_oracle.hybrid_convection` as a composition of generic graph nodes.
 
-    Same signature, so it can stand in for it inside `build_loss_graph`; the
-    blend always runs, so `force_blend` changes nothing here.
+    Same signature, so it can stand in for it inside `loss_oracle.loss_graph`.
+    The blend runs whatever the mask, so an all-zero mask gives the autodiff
+    term blended with weight 1.
     """
     conv_ad = pde.dflux(stages.u) * stages.dx
-    ue = ad.pad_const(stages.u, 3, 3, pde.boundary_value)
+    ue = pad_const(stages.u, 3, 3, pde.boundary_value)
     fp, fm = split_flux(ue, pde.flux, lam)
-    conv_weno = weno_flux_divergence(fp, fm, len(mask), dx, win=ad.window, consts=consts)
+    conv_weno = weno_flux_divergence(fp, fm, len(mask), dx, win=window, consts=consts)
     m = mask.flags.astype(np.float64)
     return conv_ad * (1.0 - m) + conv_weno * m
 
