@@ -204,7 +204,7 @@ def fused(parents, forward, vjp, label: str) -> Value:
 
 
 def _check_divisor(d, label):
-    if np.min(np.abs(d)) < DIV_GUARD:
+    if np.abs(d).min() < DIV_GUARD:
         raise EvaluationError(f"near-zero divisor in node '{label}'")
 
 

@@ -63,7 +63,6 @@ _DEFAULTS = {
         "viscosity": 0.0,
         "domain": [-1.0, 1.0],
         "boundary_value": 0.0,
-        "source": "zero",
     },
     "discretization": {
         "n_points": 300,
@@ -75,7 +74,6 @@ _DEFAULTS = {
             "delta": 1e-4,
             "power": 6,
             "threshold": 5e-4,
-            "on_flux": False,
         },
     },
     "network": {"layers": 5, "width": 20, "seed": 0},
@@ -91,7 +89,6 @@ _DEFAULTS = {
         "t_final": 0.6,
         "profile_times": [0.6],
         "directory": "out",
-        "format": "csv",
     },
 }
 
@@ -150,8 +147,6 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     cfg = _merge(_DEFAULTS, raw or {})
 
-    if cfg["pde"]["source"] != "zero":
-        raise ConfigError("pde.source: only 'zero' is supported in config files")
     domain = cfg["pde"]["domain"]
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError("pde.domain: expected [left, right]")
@@ -163,22 +158,18 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         burgers(nu), domain=(float(domain[0]), float(domain[1])), boundary_value=bval
     )
 
-    ind = cfg["discretization"]["indicator"]
     consts = WenoConstants(
         eps=_need_number(cfg, "discretization.indicator.eps", positive=True),
         delta=_need_number(cfg, "discretization.indicator.delta", positive=True),
         p=int(_need_number(cfg, "discretization.indicator.power", positive=True)),
         c_t=_need_number(cfg, "discretization.indicator.threshold", positive=True),
     )
-    if not isinstance(ind["on_flux"], bool):
-        raise ConfigError("discretization.indicator.on_flux: expected true/false")
     disc = Discretization(
         n_points=int(_need_number(cfg, "discretization.n_points", positive=True)),
         dt=_need_number(cfg, "discretization.dt", positive=True),
         q_stages=int(_need_number(cfg, "discretization.q_stages", positive=True)),
         mask_dilation=int(_need_number(cfg, "discretization.mask_dilation")),
         constants=consts,
-        indicator_on_flux=ind["on_flux"],
     )
     if disc.n_points < 8:
         raise ConfigError("discretization.n_points: need at least 8 points")
@@ -212,8 +203,6 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     profile_times = tuple(sorted(float(t) for t in times))
     if profile_times[-1] > t_final + 1e-12:
         raise ConfigError("outputs.profile_times: beyond t_final")
-    if cfg["outputs"]["format"] != "csv":
-        raise ConfigError("outputs.format: only 'csv' is supported")
 
     ref_n_cells = int(_need_number(cfg, "reference.n_cells", positive=True))
     ref_cfl = _need_number(cfg, "reference.cfl", positive=True)

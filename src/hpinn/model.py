@@ -77,7 +77,6 @@ class Discretization:
     q_stages: int = 10
     mask_dilation: int = 3
     constants: WenoConstants = field(default_factory=WenoConstants)
-    indicator_on_flux: bool = False  # flag on f(u) instead of u
     hybrid_enabled: bool = True  # False reproduces the plain discrete-time PINN
 
 
@@ -273,8 +272,7 @@ def build_loss_graph(params: NetworkParameters, state: TimeStepState, tableau: B
 def step_state(data: GridField, t_n: float, pde: PdeSpec, disc: Discretization) -> TimeStepState:
     """Freeze the mask and splitting speed for one step from the known data."""
     if disc.hybrid_enabled:
-        transform = pde.flux if disc.indicator_on_flux else None
-        mask = discontinuity_flags(data, disc.constants, transform=transform)
+        mask = discontinuity_flags(data, disc.constants)
         mask = dilate_mask(mask, disc.mask_dilation)
     else:
         mask = DiscontinuityMask(np.zeros(len(data), dtype=np.int64))

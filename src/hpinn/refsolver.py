@@ -1,19 +1,22 @@
 """Classical high-resolution reference solver: WENO-Z in space, third-order
 TVD Runge-Kutta in time, explicit viscous term by central differences.
 
-Generates the fine-grid solutions the hybrid model is measured against and
-provides the global relative error metric.
+The convection term is `weno.weno_derivative`, which runs the same WENO-Z
+kernel as the training loss's sparse branch, with the default constants and
+its divisor guards, on every interface.  Generates the fine-grid solutions
+the hybrid model is measured against and provides the global relative error
+metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .pde import PdeSpec
-from .weno import DEFAULT_CONSTANTS, GhostExtension, GridField, WenoConstants, weno_derivative
+from .weno import GhostExtension, GridField, weno_derivative
 
 __all__ = [
     "SolverConfig",
@@ -40,7 +43,6 @@ class SolverConfig:
     t_final: float = 1.0
     snapshot_times: tuple = ()
     bc: str = "dirichlet"  # "dirichlet" or "periodic"
-    constants: WenoConstants = field(default_factory=WenoConstants)
 
     def __post_init__(self):
         if self.n_cells < 16:
@@ -66,11 +68,10 @@ class SolverConfig:
         return x, dx
 
 
-def rhs(u: GridField, pde: PdeSpec, extension: GhostExtension,
-        consts: WenoConstants = DEFAULT_CONSTANTS, t: float = 0.0) -> GridField:
+def rhs(u: GridField, pde: PdeSpec, extension: GhostExtension, t: float = 0.0) -> GridField:
     """-f(u)_x + nu*u_xx + h with WENO-Z convection and central diffusion."""
     lam = LAMBDA_SAFETY * pde.max_speed(u.values)
-    out = -weno_derivative(u, pde.flux, lam, extension, consts).values
+    out = -weno_derivative(u, pde.flux, lam, extension).values
     if pde.viscosity > 0.0:
         ue = extension.apply(u.values, width=1)
         out += pde.viscosity * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / (u.dx * u.dx)
@@ -100,13 +101,12 @@ def stable_dt(u: GridField, pde: PdeSpec, cfl: float) -> float:
 
 
 def tvd_rk3_step(u: GridField, dt: float, pde: PdeSpec, extension: GhostExtension,
-                 consts: WenoConstants = DEFAULT_CONSTANTS, cfl: float = 1.0,
-                 t: float = 0.0) -> GridField:
+                 cfl: float = 1.0, t: float = 0.0) -> GridField:
     """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds."""
     limit = stable_dt(u, pde, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
-    return rk3_combine(u, dt, lambda v: rhs(v, pde, extension, consts, t=t))
+    return rk3_combine(u, dt, lambda v: rhs(v, pde, extension, t=t))
 
 
 def solve(config: SolverConfig, monitor=None):
@@ -139,8 +139,7 @@ def solve(config: SolverConfig, monitor=None):
             dt = min(stable_dt(u, pde, config.cfl), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    u = tvd_rk3_step(u, dt, pde, extension, config.constants,
-                                     cfl=config.cfl, t=t)
+                    u = tvd_rk3_step(u, dt, pde, extension, cfl=config.cfl, t=t)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"reference solve went non-finite at t={t:.6g}: {err}") from err

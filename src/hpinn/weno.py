@@ -2,12 +2,14 @@
 scale-separation indicator that classifies each grid point as smooth or
 discontinuous.
 
-The stencil kernels are plain arithmetic over their operands, so the same
-formulas serve ndarrays (reference solver, indicator) and autodiff Values
-(the dense graph composition the tests keep as an oracle).  The training
-loss uses ``SparseWenoZ`` instead: the WENO-Z divided difference at the
-flagged points only, read from their 3-cell halos, with a hand-written
-vector-Jacobian product that the loss node (``model.loss_node``) calls.
+One kernel, ``_wenoz``, reconstructs the WENO-Z interface flux for both the
+reference solver (``weno_derivative``, every interface of the grid) and the
+training loss (``SparseWenoZ``, the flagged points and their 3-cell halos,
+with a hand-written vector-Jacobian product that ``model.loss_node`` calls).
+The kernels here serve ndarrays.  The WENO-Z composition over autodiff Values,
+which the tests keep as an oracle, lives in ``tests/weno_oracle.py``; it
+reuses the plain arithmetic of ``candidate_fluxes`` and
+``smoothness_indicators``.
 
 Smoothness indicators use the Jiang-Shu form with BOTH terms squared.  The
 unsquared 13/12 term sometimes seen in print can go negative, which breaks
@@ -31,12 +33,9 @@ __all__ = [
     "DEFAULT_CONSTANTS",
     "candidate_fluxes",
     "smoothness_indicators",
-    "wenoz_weights",
-    "reconstruct_interface_flux",
     "beta3",
     "split_flux",
     "weno_derivative",
-    "weno_flux_divergence",
     "SparseWenoZ",
     "discontinuity_flags",
     "dilate_mask",
@@ -156,26 +155,6 @@ def smoothness_indicators(stencil):
     return b0, b1, b2
 
 
-def wenoz_weights(betas, consts: WenoConstants = DEFAULT_CONSTANTS):
-    """Nonlinear WENO-Z weights with global indicator tau5 = |beta0 - beta2|."""
-    b0, b1, b2 = betas
-    tau5 = abs(b0 - b2)
-    d0, d1, d2 = consts.d
-    eps = consts.eps
-    a0 = d0 * (1.0 + (tau5 / (b0 + eps)) ** 2)
-    a1 = d1 * (1.0 + (tau5 / (b1 + eps)) ** 2)
-    a2 = d2 * (1.0 + (tau5 / (b2 + eps)) ** 2)
-    asum = a0 + a1 + a2
-    return a0 / asum, a1 / asum, a2 / asum
-
-
-def reconstruct_interface_flux(stencil, consts: WenoConstants = DEFAULT_CONSTANTS):
-    """Fifth-order WENO-Z flux at x_{j+1/2} from the upwind 5-point stencil."""
-    c0, c1, c2 = candidate_fluxes(stencil)
-    w0, w1, w2 = wenoz_weights(smoothness_indicators(stencil), consts)
-    return w0 * c0 + w1 * c1 + w2 * c2
-
-
 def beta3(stencil):
     """Downstream smoothness indicator over f_{j+1..j+3} (indicator only).
 
@@ -192,26 +171,6 @@ def beta3(stencil):
 # -- field-level operators ----------------------------------------------------
 
 
-def _np_window(a, start, length):
-    return a[..., start : start + length]
-
-
-def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window,
-                         consts: WenoConstants = DEFAULT_CONSTANTS):
-    """(f_hat_{i+1/2} - f_hat_{i-1/2}) / dx from split fluxes with 3 ghosts.
-
-    `fplus_ext`/`fminus_ext` carry the split flux on the extended grid
-    (..., n + 6).  The positive part is reconstructed from left-biased
-    stencils; the negative part mirrors them about the interface.  `win`
-    abstracts slicing so the same wiring drives ndarrays and graph nodes.
-    """
-    n_ifaces = n + 1  # interfaces i + 1/2 for i = -1 .. n-1
-    sp = tuple(win(fplus_ext, 2 + m, n_ifaces) for m in (-2, -1, 0, 1, 2))
-    sm = tuple(win(fminus_ext, 2 + m, n_ifaces) for m in (3, 2, 1, 0, -1))
-    fhat = reconstruct_interface_flux(sp, consts) + reconstruct_interface_flux(sm, consts)
-    return (win(fhat, 1, n) - win(fhat, 0, n)) * (1.0 / dx)
-
-
 def split_flux(u_ext, flux_fn, lam: float):
     """Global Lax-Friedrichs splitting f+- = (f(u) +- lam*u) / 2.
 
@@ -222,20 +181,77 @@ def split_flux(u_ext, flux_fn, lam: float):
     return (fe + lam * u_ext) * 0.5, (fe - lam * u_ext) * 0.5
 
 
+def _wenoz(s, consts: WenoConstants):
+    """WENO-Z flux at x_{j+1/2} from the upwind stencil arrays `s` = f_{j-2..j+2}.
+
+    The arithmetic is elementwise, so the callers stack both upwind sides on
+    a leading axis and reconstruct them in one call.  Returns the flux first,
+    then the intermediates `_wenoz_vjp` reads.  Every beta_k + eps and the
+    weight sum pass the graph's divisor guard, which raises
+    `EvaluationError` as the `/` node does.
+    """
+    c = candidate_fluxes(s)
+    b0, b1, b2 = smoothness_indicators(s)
+    spread = b0 - b2
+    tau5 = abs(spread)
+    dens = (b0 + consts.eps, b1 + consts.eps, b2 + consts.eps)
+    for den in dens:
+        _check_divisor(den, "weno_z")
+    ratios = tuple(tau5 / den for den in dens)
+    alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(consts.d, ratios))
+    asum = alphas[0] + alphas[1] + alphas[2]
+    _check_divisor(asum, "weno_z")
+    w = tuple(a / asum for a in alphas)
+    fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
+    return fhat, s, c, w, asum, dens, ratios, spread
+
+
+def _wenoz_vjp(g, tape, consts: WenoConstants):
+    """Gradient on the five stencil values of <g, reconstructed flux>."""
+    fhat, (v0, v1, v2, v3, v4), c, w, asum, dens, ratios, spread = tape
+    # fhat = sum_k w_k c_k with w_k = alpha_k / asum
+    gc0, gc1, gc2 = (g * wk for wk in w)
+    # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + eps)
+    gr = [g * (ck - fhat) / asum * (2.0 * d) * r
+          for ck, d, r in zip(c, consts.d, ratios)]
+    gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
+    gb0, gb1, gb2 = (-grk * r / den for grk, r, den in zip(gr, ratios, dens))
+    sign = np.sign(spread)  # tau5 = |beta_0 - beta_2|
+    gb0 = gb0 + gtau * sign
+    gb2 = gb2 - gtau * sign
+    # candidate fluxes
+    s0 = (2.0 / 6.0) * gc0
+    s1 = (-7.0 * gc0 - gc1) * (1.0 / 6.0)
+    s2 = (11.0 * gc0 + 5.0 * gc1 + 2.0 * gc2) * (1.0 / 6.0)
+    s3 = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
+    s4 = (-1.0 / 6.0) * gc2
+    # beta_k = 13/12 P_k^2 + 1/4 Q_k^2
+    t, q = (13.0 / 6.0) * gb0 * (v0 - 2.0 * v1 + v2), 0.5 * gb0 * (v0 - 4.0 * v1 + 3.0 * v2)
+    s0 = s0 + t + q
+    s1 = s1 - 2.0 * t - 4.0 * q
+    s2 = s2 + t + 3.0 * q
+    t, q = (13.0 / 6.0) * gb1 * (v1 - 2.0 * v2 + v3), 0.5 * gb1 * (v1 - v3)
+    s1 = s1 + t + q
+    s2 = s2 - 2.0 * t
+    s3 = s3 + t - q
+    t, q = (13.0 / 6.0) * gb2 * (v2 - 2.0 * v3 + v4), 0.5 * gb2 * (3.0 * v2 - 4.0 * v3 + v4)
+    s2 = s2 + t + 3.0 * q
+    s3 = s3 - 2.0 * t - 4.0 * q
+    s4 = s4 + t + q
+    return s0, s1, s2, s3, s4
+
+
 class SparseWenoZ:
     """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
 
     Construction fixes, once per frozen mask, the flagged points, the
     interfaces they difference (x_{j-1/2} and x_{j+1/2}) and the six
     ghost-padded columns each interface reads; ghosts hold `boundary_value`,
-    like the constant extension.  A call evaluates `weno_flux_divergence` on
-    those columns alone, with the same arithmetic, so each value is bit for
-    bit the dense operator's at that point.  `vjp` differentiates the
+    like the constant extension.  A call runs the `_wenoz` kernel on those
+    interfaces alone, so each value is bit for bit the one `weno_derivative`
+    gives at that point from a constant extension.  `vjp` differentiates the
     candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
-    by hand, from what the last call kept.
-
-    Every beta_k + eps and every weight sum passes the graph's divisor guard
-    on each call, which raises `EvaluationError` as the `/` node does.
+    by hand (`_wenoz_vjp`), from what the last call kept.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
@@ -264,7 +280,7 @@ class SparseWenoZ:
         fp, fm = split_flux(ue, self.flux_fn, self.lam)
         # both upwind sides at once: f+ left-biased, f- mirrored about x_{k-1/2}
         sides = np.stack((fp[..., :5, :], fm[..., 5:0:-1, :]))
-        tape = self._reconstruct(tuple(sides[..., m, :] for m in range(5)))
+        tape = _wenoz(tuple(sides[..., m, :] for m in range(5)), self.consts)
         self._tape = (ue, tape)
         plus, minus = tape[0]
         fhat = plus + minus
@@ -279,7 +295,7 @@ class SparseWenoZ:
             gfhat = np.zeros(tape[0].shape[1:])
             gfhat[..., self._hi] = g
             gfhat[..., self._lo] -= g
-            gsides = np.stack(self._reconstruct_vjp(gfhat, tape), axis=-2)
+            gsides = np.stack(_wenoz_vjp(gfhat, tape, self.consts), axis=-2)
             gp = np.zeros(ue.shape)
             gm = np.zeros(ue.shape)
             gp[..., :5, :] = gsides[0]
@@ -290,73 +306,24 @@ class SparseWenoZ:
                 du[..., self._cols[m]] += gue[..., m, :]
         return du[..., GHOST : GHOST + self._n]
 
-    def _reconstruct(self, s):
-        """`reconstruct_interface_flux`, keeping its intermediates for `vjp`."""
-        c = candidate_fluxes(s)
-        b0, b1, b2 = smoothness_indicators(s)
-        tau5 = abs(b0 - b2)
-        dens = (b0 + self.consts.eps, b1 + self.consts.eps, b2 + self.consts.eps)
-        for den in dens:
-            _check_divisor(den, "weno_z")
-        ratios = tuple(tau5 / den for den in dens)
-        alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(self.consts.d, ratios))
-        asum = alphas[0] + alphas[1] + alphas[2]
-        _check_divisor(asum, "weno_z")
-        w = tuple(a / asum for a in alphas)
-        fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
-        return fhat, s, c, w, asum, dens, ratios, np.sign(b0 - b2)
 
-    def _reconstruct_vjp(self, g, tape):
-        """Gradient on the five stencil values of <g, reconstructed flux>."""
-        fhat, (v0, v1, v2, v3, v4), c, w, asum, dens, ratios, sign = tape
-        # fhat = sum_k w_k c_k with w_k = alpha_k / asum
-        gc0, gc1, gc2 = (g * wk for wk in w)
-        # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + eps)
-        gr = [g * (ck - fhat) / asum * (2.0 * d) * r
-              for ck, d, r in zip(c, self.consts.d, ratios)]
-        gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
-        gb0, gb1, gb2 = (-grk * r / den for grk, r, den in zip(gr, ratios, dens))
-        gb0 = gb0 + gtau * sign
-        gb2 = gb2 - gtau * sign
-        # candidate fluxes
-        s0 = (2.0 / 6.0) * gc0
-        s1 = (-7.0 * gc0 - gc1) * (1.0 / 6.0)
-        s2 = (11.0 * gc0 + 5.0 * gc1 + 2.0 * gc2) * (1.0 / 6.0)
-        s3 = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
-        s4 = (-1.0 / 6.0) * gc2
-        # beta_k = 13/12 P_k^2 + 1/4 Q_k^2
-        t, q = (13.0 / 6.0) * gb0 * (v0 - 2.0 * v1 + v2), 0.5 * gb0 * (v0 - 4.0 * v1 + 3.0 * v2)
-        s0 = s0 + t + q
-        s1 = s1 - 2.0 * t - 4.0 * q
-        s2 = s2 + t + 3.0 * q
-        t, q = (13.0 / 6.0) * gb1 * (v1 - 2.0 * v2 + v3), 0.5 * gb1 * (v1 - v3)
-        s1 = s1 + t + q
-        s2 = s2 - 2.0 * t
-        s3 = s3 + t - q
-        t, q = (13.0 / 6.0) * gb2 * (v2 - 2.0 * v3 + v4), 0.5 * gb2 * (3.0 * v2 - 4.0 * v3 + v4)
-        s2 = s2 + t + 3.0 * q
-        s3 = s3 - 2.0 * t - 4.0 * q
-        s4 = s4 + t + q
-        return s0, s1, s2, s3, s4
-
-
-def weno_derivative(u: GridField, flux_fn, lam: float,
-                    extension: GhostExtension,
-                    consts: WenoConstants = DEFAULT_CONSTANTS) -> GridField:
+def weno_derivative(u: GridField, flux_fn, lam: float, extension: GhostExtension) -> GridField:
     """d f(u) / dx at every grid point via conservative WENO-Z differences."""
     n = len(u)
-    if n < 2 * GHOST + 1:
-        raise ValueError(f"need at least {2 * GHOST + 1} grid points, got {n}")
     fp, fm = split_flux(extension.apply(u.values), flux_fn, lam)
-    div = weno_flux_divergence(fp, fm, n, u.dx, consts=consts)
-    return GridField(div, u.x0, u.dx)
+    # each interface x_{i-1/2}, i = 0 .. n, reads the extended-grid cells i .. i + 5:
+    # f+ the left-biased five, f- the same stencil mirrored about the interface
+    sides = np.array([[fp[k : k + n + 1] for k in range(5)],
+                      [fm[k : k + n + 1] for k in range(5, 0, -1)]])
+    plus, minus = _wenoz(tuple(sides[:, m] for m in range(5)), DEFAULT_CONSTANTS)[0]
+    fhat = plus + minus
+    return GridField((fhat[1:] - fhat[:-1]) * (1.0 / u.dx), u.x0, u.dx)
 
 
 # -- discontinuity indicator --------------------------------------------------
 
 
-def discontinuity_flags(u: GridField, consts: WenoConstants = DEFAULT_CONSTANTS,
-                        transform=None) -> DiscontinuityMask:
+def discontinuity_flags(u: GridField, consts: WenoConstants = DEFAULT_CONSTANTS) -> DiscontinuityMask:
     """Classify each point as smooth (0) or discontinuous (1).
 
     At point j the four indicators are beta_0..beta_2 over the centered
@@ -368,11 +335,8 @@ def discontinuity_flags(u: GridField, consts: WenoConstants = DEFAULT_CONSTANTS,
     (j in [2, n-4]); the remaining boundary points stay 0.  There is no
     off-domain data to pad with, and padding with the boundary value would
     manufacture a kink that flags smooth fields at the wall.
-
-    `transform` optionally maps the field values first (e.g. the flux f(u)
-    when flagging on flux rather than on u).
     """
-    f = u.values if transform is None else np.asarray(transform(u.values), dtype=np.float64)
+    f = u.values
     n = f.shape[0]
     if n < 8:
         raise ValueError(f"indicator needs at least 8 points, got {n}")

@@ -42,6 +42,17 @@ class TestConfigErrors:
         assert code == 2
         assert "training.learning_rte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,fields,where", [
+        ("pde", {"source": "zero"}, "pde.source"),
+        ("outputs", {"format": "csv"}, "outputs.format"),
+        ("discretization", {"indicator": {"on_flux": False}},
+         "discretization.indicator.on_flux"),
+    ])
+    def test_keys_without_a_setting_are_unknown(self, tmp_path, capsys, section, fields, where):
+        path = write_config(tmp_path, {section: fields})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"{where}: unknown field" in capsys.readouterr().err
+
     def test_bad_type_names_path(self, tmp_path, capsys):
         path = write_config(tmp_path, {"discretization": {"dt": "soon"}})
         code = cli.main(["run", "--config", str(path)])

@@ -549,7 +549,8 @@ class TestTrainStep:
         state = step_state(grid, 0.0, pde, disc)
         params = init_xavier(NetworkConfig(outputs=2, seed=2))
         params.weights[0].data[0, 0] = np.inf
-        with pytest.raises(TrainingDivergedError) as err:
+        with (pytest.raises(TrainingDivergedError) as err,
+              pytest.warns(RuntimeWarning, match="invalid value")):
             train_step(state, params, tab, pde, disc, TrainingConfig())
         assert err.value.iteration == 0
         assert err.value.parameter_norm is not None

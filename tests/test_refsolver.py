@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from hpinn.refsolver import (
     tvd_rk3_step,
 )
 from hpinn.weno import GhostExtension, GridField
+
+# the shock workloads' frozen inputs (benchmarks/make_data.py)
+SHOCK_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "shock_reference.npz"
 
 
 def characteristics_solution(x, t, newton_iters=60):
@@ -181,6 +186,18 @@ class TestSolve:
             errs.append(np.max(np.abs(u.values - characteristics_solution(u.x, 0.2))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 4.0
+
+    @pytest.mark.parametrize("name,nu", [("inviscid", 0.0), ("viscous", 1e-4 / np.pi)])
+    def test_reproduces_the_benchmark_inputs(self, name, nu):
+        # the snapshots match to the bit here; 1e-12 leaves room for another
+        # libm's sin in u(0, x) (one ulp there moves them by ~1e-14) and still
+        # catches any change to the scheme
+        with np.load(SHOCK_REFERENCE) as frozen:
+            times, x0, dx, want = tuple(frozen["times"]), frozen["x0"], frozen["dx"], frozen[name]
+        _, fields = solve(SolverConfig(pde=burgers(nu), n_cells=300, t_final=times[-1],
+                                       snapshot_times=times))
+        assert (fields[0].x0, fields[0].dx) == (x0, dx)
+        assert np.max(np.abs(np.stack([f.values for f in fields]) - want)) <= 1e-12
 
     def test_snapshot_validation(self):
         pde = burgers(0.0)

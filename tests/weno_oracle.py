@@ -1,18 +1,68 @@
-"""Dense WENO-Z convection and random flag masks, shared by the tests of the
-sparse WENO-Z branch (`weno.SparseWenoZ`, inside `model.loss_node`).
+"""The dense WENO-Z reference implementation, and random flag masks, shared by
+the tests of the WENO-Z kernel (`weno._wenoz`) and of the sparse branch
+(`weno.SparseWenoZ`, inside `model.loss_node`).
 
+`wenoz_weights`, `reconstruct_interface_flux` and `weno_flux_divergence` are
+the reconstruction as the package first wrote it, over every interface and
+for ndarrays and autodiff Values alike (`win` abstracts the slicing).
 `dense_convection` is the graph composition the training loss used before the
 branch became one node: WENO-Z over every point of every stage row, from the
-constant ghost extension, then a 0/1 blend with the autodiff term.  It is the
-oracle for both the values and the gradients of the sparse branch.
+constant ghost extension, then a 0/1 blend with the autodiff term.  They are
+the oracle for the values and the gradients of the package's one kernel.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hpinn.weno import DEFAULT_CONSTANTS, split_flux, weno_flux_divergence
+from hpinn.weno import (
+    DEFAULT_CONSTANTS,
+    WenoConstants,
+    candidate_fluxes,
+    smoothness_indicators,
+    split_flux,
+)
 from loss_oracle import pad_const, window
+
+
+def wenoz_weights(betas, consts: WenoConstants = DEFAULT_CONSTANTS):
+    """Nonlinear WENO-Z weights with global indicator tau5 = |beta0 - beta2|."""
+    b0, b1, b2 = betas
+    tau5 = abs(b0 - b2)
+    d0, d1, d2 = consts.d
+    eps = consts.eps
+    a0 = d0 * (1.0 + (tau5 / (b0 + eps)) ** 2)
+    a1 = d1 * (1.0 + (tau5 / (b1 + eps)) ** 2)
+    a2 = d2 * (1.0 + (tau5 / (b2 + eps)) ** 2)
+    asum = a0 + a1 + a2
+    return a0 / asum, a1 / asum, a2 / asum
+
+
+def reconstruct_interface_flux(stencil, consts: WenoConstants = DEFAULT_CONSTANTS):
+    """Fifth-order WENO-Z flux at x_{j+1/2} from the upwind 5-point stencil."""
+    c0, c1, c2 = candidate_fluxes(stencil)
+    w0, w1, w2 = wenoz_weights(smoothness_indicators(stencil), consts)
+    return w0 * c0 + w1 * c1 + w2 * c2
+
+
+def _np_window(a, start, length):
+    return a[..., start : start + length]
+
+
+def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window,
+                         consts: WenoConstants = DEFAULT_CONSTANTS):
+    """(f_hat_{i+1/2} - f_hat_{i-1/2}) / dx from split fluxes with 3 ghosts.
+
+    `fplus_ext`/`fminus_ext` carry the split flux on the extended grid
+    (..., n + 6).  The positive part is reconstructed from left-biased
+    stencils; the negative part mirrors them about the interface.  `win`
+    abstracts slicing so the same wiring drives ndarrays and graph nodes.
+    """
+    n_ifaces = n + 1  # interfaces i + 1/2 for i = -1 .. n-1
+    sp = tuple(win(fplus_ext, 2 + m, n_ifaces) for m in (-2, -1, 0, 1, 2))
+    sm = tuple(win(fminus_ext, 2 + m, n_ifaces) for m in (3, 2, 1, 0, -1))
+    fhat = reconstruct_interface_flux(sp, consts) + reconstruct_interface_flux(sm, consts)
+    return (win(fhat, 1, n) - win(fhat, 0, n)) * (1.0 / dx)
 
 
 def dense_convection(stages, mask, pde, lam, dx, consts=DEFAULT_CONSTANTS):
