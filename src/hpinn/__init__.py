@@ -22,7 +22,6 @@ from .pde import PdeSpec, burgers
 from .refsolver import SolverConfig, relative_error, solve
 from .weno import (
     DiscontinuityMask,
-    GhostExtension,
     GridField,
     WenoConstants,
     discontinuity_flags,

@@ -173,6 +173,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     )
     if disc.n_points < 8:
         raise ConfigError("discretization.n_points: need at least 8 points")
+    if disc.mask_dilation < 0:
+        raise ConfigError("discretization.mask_dilation: must be nonnegative")
 
     seed = int(_need_number(cfg, "network.seed")) if seed_override is None else int(seed_override)
     cfg["network"]["seed"] = seed

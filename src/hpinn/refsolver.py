@@ -3,7 +3,9 @@ TVD Runge-Kutta in time, explicit viscous term by central differences.
 
 The convection term is `weno.weno_derivative`, which runs the same WENO-Z
 kernel as the training loss's sparse branch, with the default constants and
-its divisor guards, on every interface.  Generates the fine-grid solutions
+its divisor guards, on every interface.  The stepping functions work on plain
+arrays of grid values plus the spacing `dx`; the grid is `SolverConfig.grid()`
+and both walls hold `pde.boundary_value`.  Generates the fine-grid solutions
 the hybrid model is measured against and provides the global relative error
 metric.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .pde import PdeSpec
-from .weno import GhostExtension, GridField, weno_derivative
+from .weno import GHOST, GridField, weno_derivative
 
 __all__ = [
     "SolverConfig",
@@ -42,7 +44,6 @@ class SolverConfig:
     cfl: float = 0.4
     t_final: float = 1.0
     snapshot_times: tuple = ()
-    bc: str = "dirichlet"  # "dirichlet" or "periodic"
 
     def __post_init__(self):
         if self.n_cells < 16:
@@ -52,77 +53,79 @@ class SolverConfig:
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
 
-    def extension(self) -> GhostExtension:
-        if self.bc == "periodic":
-            return GhostExtension(kind="periodic")
-        return GhostExtension(kind="reflect_odd", value=self.pde.boundary_value)
-
     def grid(self):
+        """n_cells points from one wall to the other, both walls included."""
         x_left, x_right = self.pde.domain
-        if self.bc == "periodic":
-            dx = (x_right - x_left) / self.n_cells
-            x = x_left + dx * np.arange(self.n_cells)
-        else:
-            dx = (x_right - x_left) / (self.n_cells - 1)
-            x = x_left + dx * np.arange(self.n_cells)
-        return x, dx
+        dx = (x_right - x_left) / (self.n_cells - 1)
+        return x_left + dx * np.arange(self.n_cells), dx
 
 
-def rhs(u: GridField, pde: PdeSpec, extension: GhostExtension, t: float = 0.0) -> GridField:
-    """-f(u)_x + nu*u_xx + h with WENO-Z convection and central diffusion."""
-    lam = LAMBDA_SAFETY * pde.max_speed(u.values)
-    out = -weno_derivative(u, pde.flux, lam, extension).values
+def _ghosts(u: np.ndarray, value: float) -> np.ndarray:
+    """`u` with GHOST cells each side, mirrored oddly about the wall value.
+
+    ghost = 2*value - interior is the exact continuation of a pinned
+    Dirichlet wall; holding the value itself would be only first-order there
+    and let boundary error dominate fine-grid runs.
+    """
+    left = 2.0 * value - u[GHOST:0:-1]
+    right = 2.0 * value - u[-2 : -GHOST - 2 : -1]
+    return np.concatenate([left, u, right])
+
+
+def rhs(u: np.ndarray, dx: float, pde: PdeSpec, t: float = 0.0) -> np.ndarray:
+    """-f(u)_x + nu*u_xx + h with WENO-Z convection and central diffusion.
+
+    `u` holds the values on the solver grid, which starts at pde.domain[0].
+    """
+    ue = _ghosts(u, pde.boundary_value)
+    lam = LAMBDA_SAFETY * pde.max_speed(u)
+    out = -weno_derivative(ue, pde.flux, lam, dx)
     if pde.viscosity > 0.0:
-        ue = extension.apply(u.values, width=1)
-        out += pde.viscosity * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / (u.dx * u.dx)
+        out += pde.viscosity * (ue[4:-2] - 2.0 * ue[3:-3] + ue[2:-4]) / (dx * dx)
     if pde.source is not None:
-        out += pde.source(u.x, t)
-    return GridField(out, u.x0, u.dx)
+        out += pde.source(pde.domain[0] + dx * np.arange(u.shape[0]), t)
+    return out
 
 
-def rk3_combine(u: GridField, dt: float, rhs_fn) -> GridField:
+def rk3_combine(u: np.ndarray, dt: float, rhs_fn) -> np.ndarray:
     """Three-stage convex-combination update of Shu-Osher type."""
-    u0 = u.values
-    u1 = u0 + dt * rhs_fn(u).values
-    f1 = GridField(u1, u.x0, u.dx)
-    u2 = (3.0 * u0 + u1 + dt * rhs_fn(f1).values) / 4.0
-    f2 = GridField(u2, u.x0, u.dx)
-    u3 = (u0 + 2.0 * u2 + 2.0 * dt * rhs_fn(f2).values) / 3.0
-    return GridField(u3, u.x0, u.dx)
+    u1 = u + dt * rhs_fn(u)
+    u2 = (3.0 * u + u1 + dt * rhs_fn(u1)) / 4.0
+    return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2)) / 3.0
 
 
-def stable_dt(u: GridField, pde: PdeSpec, cfl: float) -> float:
+def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
     """Largest step satisfying the hyperbolic and explicit viscous bounds."""
-    speed = pde.max_speed(u.values)
-    dt = cfl * u.dx / max(speed, 1e-12)
+    speed = pde.max_speed(u)
+    dt = cfl * dx / max(speed, 1e-12)
     if pde.viscosity > 0.0:
-        dt = min(dt, cfl * u.dx * u.dx / (2.0 * pde.viscosity))
+        dt = min(dt, cfl * dx * dx / (2.0 * pde.viscosity))
     return dt
 
 
-def tvd_rk3_step(u: GridField, dt: float, pde: PdeSpec, extension: GhostExtension,
-                 cfl: float = 1.0, t: float = 0.0) -> GridField:
+def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
+                 cfl: float = 1.0, t: float = 0.0) -> np.ndarray:
     """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds."""
-    limit = stable_dt(u, pde, cfl)
+    limit = stable_dt(u, dx, pde, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
-    return rk3_combine(u, dt, lambda v: rhs(v, pde, extension, t=t))
+    return rk3_combine(u, dt, lambda v: rhs(v, dx, pde, t=t))
 
 
 def solve(config: SolverConfig, monitor=None):
     """March u(0,x) to t_final, landing exactly on every snapshot time.
 
     Returns (times, fields) for the requested snapshot_times (t_final is
-    appended if no snapshots are given).  `monitor(t, field)` is called after
-    every accepted step.  A step that overflows or turns invalid raises
-    FloatingPointError naming the solver time it started from.
+    appended if no snapshots are given).  `monitor(t, u)` is called with the
+    values after every accepted step.  A step that overflows or turns
+    invalid raises FloatingPointError naming the solver time it started from.
     """
     pde = config.pde
     if pde.initial is None:
         raise ValueError("solver needs an initial condition on the PdeSpec")
     x, dx = config.grid()
-    u = GridField(pde.initial(x), float(x[0]), dx)
-    extension = config.extension()
+    x0 = float(x[0])
+    u = GridField(pde.initial(x), x0, dx).values
 
     wanted = sorted(set(float(t) for t in config.snapshot_times)) or [config.t_final]
     if any(t < 0.0 or t > config.t_final + 1e-12 for t in wanted):
@@ -132,14 +135,14 @@ def solve(config: SolverConfig, monitor=None):
     t = 0.0
     if wanted and abs(wanted[0]) < 1e-12:
         out_times.append(0.0)
-        out_fields.append(GridField(u.values.copy(), u.x0, u.dx))
+        out_fields.append(GridField(u.copy(), x0, dx))
         wanted = wanted[1:]
     for target in wanted:
         while t < target - 1e-12:
-            dt = min(stable_dt(u, pde, config.cfl), target - t)
+            dt = min(stable_dt(u, dx, pde, config.cfl), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    u = tvd_rk3_step(u, dt, pde, extension, cfl=config.cfl, t=t)
+                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl, t=t)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"reference solve went non-finite at t={t:.6g}: {err}") from err
@@ -147,7 +150,7 @@ def solve(config: SolverConfig, monitor=None):
             if monitor is not None:
                 monitor(t, u)
         out_times.append(target)
-        out_fields.append(GridField(u.values.copy(), u.x0, u.dx))
+        out_fields.append(GridField(u.copy(), x0, dx))
     return out_times, out_fields
 
 

@@ -3,9 +3,10 @@ scale-separation indicator that classifies each grid point as smooth or
 discontinuous.
 
 One kernel, ``_wenoz``, reconstructs the WENO-Z interface flux for both the
-reference solver (``weno_derivative``, every interface of the grid) and the
-training loss (``SparseWenoZ``, the flagged points and their 3-cell halos,
-with a hand-written vector-Jacobian product that ``model.loss_node`` calls).
+reference solver (``weno_derivative``, every interface of a field the caller
+has padded with ghost cells) and the training loss (``SparseWenoZ``, the
+flagged points and their 3-cell halos, with a hand-written vector-Jacobian
+product that ``model.loss_node`` calls).
 The kernels here serve ndarrays.  The WENO-Z composition over autodiff Values,
 which the tests keep as an oracle, lives in ``tests/weno_oracle.py``; it
 reuses the plain arithmetic of ``candidate_fluxes`` and
@@ -29,7 +30,6 @@ __all__ = [
     "GridField",
     "DiscontinuityMask",
     "WenoConstants",
-    "GhostExtension",
     "DEFAULT_CONSTANTS",
     "candidate_fluxes",
     "smoothness_indicators",
@@ -70,49 +70,27 @@ class GridField:
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self))
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.values))))
+
+LINEAR_WEIGHTS = (0.1, 0.6, 0.3)  # optimal (linear) WENO-Z weights d_0..d_2
 
 
 @dataclass(frozen=True)
 class WenoConstants:
-    """Reconstruction and indicator parameters (1-D defaults)."""
+    """Reconstruction and indicator parameters (1-D defaults).
+
+    `eps` floors the WENO-Z weight denominators beta_k + eps of the training
+    loss's branch; `discontinuity_flags` never reads it.  `delta`, `p` and
+    `c_t` are the indicator's.  The reference solver always reconstructs
+    with `DEFAULT_CONSTANTS`.
+    """
 
     eps: float = 1e-40               # keeps the weight denominators positive
-    d: tuple = (0.1, 0.6, 0.3)       # optimal (linear) weights
     delta: float = 1e-4              # indicator regularization, 1-D value
     p: int = 6                       # scale-separation exponent
     c_t: float = 5e-4                # indicator threshold
 
 
 DEFAULT_CONSTANTS = WenoConstants()
-
-
-@dataclass(frozen=True)
-class GhostExtension:
-    """Ghost-cell policy for the three halo cells each side.
-
-    "reflect_odd" mirrors the interior oddly about the boundary value
-    (ghost = 2*value - interior), the exact continuation of a pinned
-    Dirichlet wall; "constant" holds the boundary value itself; "periodic"
-    wraps.  Constant extension is only first-order at the wall and lets
-    boundary error dominate fine-grid runs, so the solvers default to
-    reflection.
-    """
-
-    kind: str = "reflect_odd"
-    value: float = 0.0
-
-    def apply(self, values: np.ndarray, width: int = GHOST) -> np.ndarray:
-        if self.kind == "constant":
-            return np.pad(values, width, constant_values=self.value)
-        if self.kind == "periodic":
-            return np.concatenate([values[-width:], values, values[:width]])
-        if self.kind == "reflect_odd":
-            left = 2.0 * self.value - values[width:0:-1]
-            right = 2.0 * self.value - values[-2 : -width - 2 : -1]
-            return np.concatenate([left, values, right])
-        raise ValueError(f"unknown extension kind: {self.kind!r}")
 
 
 @dataclass
@@ -198,7 +176,7 @@ def _wenoz(s, consts: WenoConstants):
     for den in dens:
         _check_divisor(den, "weno_z")
     ratios = tuple(tau5 / den for den in dens)
-    alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(consts.d, ratios))
+    alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(LINEAR_WEIGHTS, ratios))
     asum = alphas[0] + alphas[1] + alphas[2]
     _check_divisor(asum, "weno_z")
     w = tuple(a / asum for a in alphas)
@@ -213,7 +191,7 @@ def _wenoz_vjp(g, tape, consts: WenoConstants):
     gc0, gc1, gc2 = (g * wk for wk in w)
     # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + eps)
     gr = [g * (ck - fhat) / asum * (2.0 * d) * r
-          for ck, d, r in zip(c, consts.d, ratios)]
+          for ck, d, r in zip(c, LINEAR_WEIGHTS, ratios)]
     gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
     gb0, gb1, gb2 = (-grk * r / den for grk, r, den in zip(gr, ratios, dens))
     sign = np.sign(spread)  # tau5 = |beta_0 - beta_2|
@@ -246,10 +224,10 @@ class SparseWenoZ:
 
     Construction fixes, once per frozen mask, the flagged points, the
     interfaces they difference (x_{j-1/2} and x_{j+1/2}) and the six
-    ghost-padded columns each interface reads; ghosts hold `boundary_value`,
-    like the constant extension.  A call runs the `_wenoz` kernel on those
-    interfaces alone, so each value is bit for bit the one `weno_derivative`
-    gives at that point from a constant extension.  `vjp` differentiates the
+    ghost-padded columns each interface reads; ghosts hold `boundary_value`.
+    A call runs the `_wenoz` kernel on those interfaces alone, so each value
+    is bit for bit the one `weno_derivative` gives at that point from the
+    field padded with `boundary_value`.  `vjp` differentiates the
     candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
     by hand (`_wenoz_vjp`), from what the last call kept.
     """
@@ -307,17 +285,20 @@ class SparseWenoZ:
         return du[..., GHOST : GHOST + self._n]
 
 
-def weno_derivative(u: GridField, flux_fn, lam: float, extension: GhostExtension) -> GridField:
-    """d f(u) / dx at every grid point via conservative WENO-Z differences."""
-    n = len(u)
-    fp, fm = split_flux(extension.apply(u.values), flux_fn, lam)
+def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.ndarray:
+    """d f(u) / dx at every grid point via conservative WENO-Z differences.
+
+    `u_ext` is the field with GHOST ghost cells already on each side.
+    """
+    n = u_ext.shape[0] - 2 * GHOST
+    fp, fm = split_flux(u_ext, flux_fn, lam)
     # each interface x_{i-1/2}, i = 0 .. n, reads the extended-grid cells i .. i + 5:
     # f+ the left-biased five, f- the same stencil mirrored about the interface
     sides = np.array([[fp[k : k + n + 1] for k in range(5)],
                       [fm[k : k + n + 1] for k in range(5, 0, -1)]])
     plus, minus = _wenoz(tuple(sides[:, m] for m in range(5)), DEFAULT_CONSTANTS)[0]
     fhat = plus + minus
-    return GridField((fhat[1:] - fhat[:-1]) * (1.0 / u.dx), u.x0, u.dx)
+    return (fhat[1:] - fhat[:-1]) * (1.0 / dx)
 
 
 # -- discontinuity indicator --------------------------------------------------
@@ -355,6 +336,7 @@ def dilate_mask(mask: DiscontinuityMask, radius: int) -> DiscontinuityMask:
     """Grow flagged regions by `radius` cells on each side."""
     if radius <= 0 or mask.count() == 0:
         return DiscontinuityMask(mask.flags.copy())
-    kernel = np.ones(2 * radius + 1)
-    grown = np.convolve(mask.flags.astype(np.float64), kernel, mode="same") > 0.5
+    # full[j + radius] counts the flags within `radius` of j, whatever the grid size
+    full = np.convolve(mask.flags.astype(np.float64), np.ones(2 * radius + 1))
+    grown = full[radius : radius + len(mask)] > 0.5
     return DiscontinuityMask(grown.astype(np.int64))

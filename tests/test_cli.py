@@ -69,6 +69,13 @@ class TestConfigErrors:
         path = write_config(tmp_path, {"outputs": {"profile_times": [0.9]}})
         assert cli.main(["run", "--config", str(path)]) == 2
 
+    def test_negative_mask_dilation(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"discretization": {"mask_dilation": -1}})
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "discretization.mask_dilation: must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("verb", ["reference", "run"])
     @pytest.mark.parametrize("setting,message", [
         ({"cfl": 50.0}, "cfl must lie in (0, 1]"),

@@ -509,6 +509,15 @@ class TestGradientFlow:
             assert abs(float(plain.data) - float(blend.data)) < 1e-14
 
 
+def test_step_state_dilation_wider_than_the_grid():
+    # 2 * 8 + 1 cells of dilation on a 12-point grid: the mask keeps 12 entries
+    x = np.linspace(-1, 1, 12)
+    data = GridField(np.where(x < 0, 1.0, -1.0), -1.0, x[1] - x[0])
+    disc = Discretization(n_points=12, q_stages=1, mask_dilation=8)
+    state = step_state(data, 0.0, burgers(0.0), disc)
+    assert np.array_equal(state.mask.flags, np.ones(12))
+
+
 class TestTrainStep:
     def test_zero_data_converges_to_zero_solution(self):
         n = 64

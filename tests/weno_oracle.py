@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from hpinn.weno import (
     DEFAULT_CONSTANTS,
+    LINEAR_WEIGHTS,
     WenoConstants,
     candidate_fluxes,
     smoothness_indicators,
@@ -29,7 +30,7 @@ def wenoz_weights(betas, consts: WenoConstants = DEFAULT_CONSTANTS):
     """Nonlinear WENO-Z weights with global indicator tau5 = |beta0 - beta2|."""
     b0, b1, b2 = betas
     tau5 = abs(b0 - b2)
-    d0, d1, d2 = consts.d
+    d0, d1, d2 = LINEAR_WEIGHTS
     eps = consts.eps
     a0 = d0 * (1.0 + (tau5 / (b0 + eps)) ** 2)
     a1 = d1 * (1.0 + (tau5 / (b1 + eps)) ** 2)
