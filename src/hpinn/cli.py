@@ -123,6 +123,14 @@ def _need_number(cfg, path, positive=False):
     return float(node)
 
 
+def _need_int(cfg, path, positive=False):
+    """An integral number, which YAML may also write as 2.0e5."""
+    value = _need_number(cfg, path, positive)
+    if not value.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass
 class Experiment:
     pde: PdeSpec
@@ -161,14 +169,14 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     consts = WenoConstants(
         eps=_need_number(cfg, "discretization.indicator.eps", positive=True),
         delta=_need_number(cfg, "discretization.indicator.delta", positive=True),
-        p=int(_need_number(cfg, "discretization.indicator.power", positive=True)),
+        p=_need_int(cfg, "discretization.indicator.power", positive=True),
         c_t=_need_number(cfg, "discretization.indicator.threshold", positive=True),
     )
     disc = Discretization(
-        n_points=int(_need_number(cfg, "discretization.n_points", positive=True)),
+        n_points=_need_int(cfg, "discretization.n_points", positive=True),
         dt=_need_number(cfg, "discretization.dt", positive=True),
-        q_stages=int(_need_number(cfg, "discretization.q_stages", positive=True)),
-        mask_dilation=int(_need_number(cfg, "discretization.mask_dilation")),
+        q_stages=_need_int(cfg, "discretization.q_stages", positive=True),
+        mask_dilation=_need_int(cfg, "discretization.mask_dilation"),
         constants=consts,
     )
     if disc.n_points < 8:
@@ -176,11 +184,11 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if disc.mask_dilation < 0:
         raise ConfigError("discretization.mask_dilation: must be nonnegative")
 
-    seed = int(_need_number(cfg, "network.seed")) if seed_override is None else int(seed_override)
+    seed = _need_int(cfg, "network.seed") if seed_override is None else int(seed_override)
     cfg["network"]["seed"] = seed
     network = NetworkConfig(
-        hidden_layers=int(_need_number(cfg, "network.layers", positive=True)),
-        width=int(_need_number(cfg, "network.width", positive=True)),
+        hidden_layers=_need_int(cfg, "network.layers", positive=True),
+        width=_need_int(cfg, "network.width", positive=True),
         outputs=disc.q_stages + 1,
         seed=seed,
     )
@@ -193,7 +201,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     training = TrainingConfig(
         learning_rate=_need_number(cfg, "training.learning_rate", positive=True),
         loss_tolerance=_need_number(cfg, "training.tolerance", positive=True),
-        max_iterations=int(_need_number(cfg, "training.max_iterations", positive=True)),
+        max_iterations=_need_int(cfg, "training.max_iterations", positive=True),
         warm_start=cfg["training"]["warm_start"],
         loss_reduction=reduction,
     )
@@ -206,7 +214,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if profile_times[-1] > t_final + 1e-12:
         raise ConfigError("outputs.profile_times: beyond t_final")
 
-    ref_n_cells = int(_need_number(cfg, "reference.n_cells", positive=True))
+    ref_n_cells = _need_int(cfg, "reference.n_cells", positive=True)
     ref_cfl = _need_number(cfg, "reference.cfl", positive=True)
     try:  # the solver's own checks, before any training is spent
         SolverConfig(pde=pde, n_cells=ref_n_cells, cfl=ref_cfl)

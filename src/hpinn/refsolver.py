@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .pde import PdeSpec
 from .weno import GHOST, GridField, weno_derivative
@@ -87,11 +86,15 @@ def rhs(u: np.ndarray, dx: float, pde: PdeSpec, t: float = 0.0) -> np.ndarray:
     return out
 
 
-def rk3_combine(u: np.ndarray, dt: float, rhs_fn) -> np.ndarray:
-    """Three-stage convex-combination update of Shu-Osher type."""
-    u1 = u + dt * rhs_fn(u)
-    u2 = (3.0 * u + u1 + dt * rhs_fn(u1)) / 4.0
-    return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2)) / 3.0
+def rk3_combine(u: np.ndarray, t: float, dt: float, rhs_fn) -> np.ndarray:
+    """Three-stage convex-combination update of Shu-Osher type.
+
+    `rhs_fn(v, s)` is the right-hand side at stage time s: the stages sit at
+    t, t + dt and t + dt/2.
+    """
+    u1 = u + dt * rhs_fn(u, t)
+    u2 = (3.0 * u + u1 + dt * rhs_fn(u1, t + dt)) / 4.0
+    return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2, t + 0.5 * dt)) / 3.0
 
 
 def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
@@ -109,7 +112,7 @@ def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
     limit = stable_dt(u, dx, pde, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
-    return rk3_combine(u, dt, lambda v: rhs(v, dx, pde, t=t))
+    return rk3_combine(u, t, dt, lambda v, s: rhs(v, dx, pde, t=s))
 
 
 def solve(config: SolverConfig, monitor=None):
@@ -154,11 +157,49 @@ def solve(config: SolverConfig, monitor=None):
     return out_times, out_fields
 
 
+def _not_a_knot(ref: GridField, x: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through `ref`'s values, evaluated at `x`.
+
+    The knot slopes s_i solve the C2 rows
+    h_i s_(i-1) + 2 (h_(i-1) + h_i) s_i + h_(i-1) s_(i+1) = 3 (h_i d_(i-1) + h_(i-1) d_i)
+    (spacings h_i, secant slopes d_i), closed by one not-a-knot row per end,
+    which makes the third derivative continuous at the second knot from that
+    end.  The spacings are the float differences of `ref.x`, not `ref.dx`:
+    rows and spacings are those of the usual `CubicSpline(x, y)`, so the two
+    agree to round-off.  A Thomas sweep on plain floats solves the rows;
+    beyond the end knots the end pieces extrapolate.
+    """
+    knots, y, n = ref.x, ref.values, len(ref)
+    h = np.diff(knots)
+    d = np.diff(y) / h
+    e0, e1 = h[0] + h[1], h[-2] + h[-1]
+    b = np.empty(n)
+    b[0] = ((h[0] + 2.0 * e0) * h[1] * d[0] + h[0] ** 2 * d[1]) / e0
+    b[1:-1] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    b[-1] = (h[-1] ** 2 * d[-2] + (2.0 * e1 + h[-1]) * h[-2] * d[-1]) / e1
+    lower = np.append(h[1:], e1).tolist()  # rows 1..n-1
+    diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]]).tolist()
+    upper = np.insert(h[:-1], 0, e0).tolist()  # rows 0..n-2
+    s = b.tolist()
+    for i in range(1, n):
+        m = lower[i - 1] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        s[i] -= m * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, n - 2)
+    t, hk, dk, sk = x - knots[k], h[k], d[k], s[k]
+    curv = (sk + s[k + 1] - 2.0 * dk) / hk
+    return y[k] + sk * t + ((dk - sk) / hk - curv) * t * t + curv / hk * t * t * t
+
+
 def reference_on_grid(ref: GridField, pred: GridField) -> np.ndarray:
     """`ref` at pred's points: its own values on the same grid, else cubic."""
     if len(ref) == len(pred) and np.allclose(ref.x, pred.x, rtol=0, atol=1e-12):
         return ref.values
-    return CubicSpline(ref.x, ref.values)(pred.x)
+    return _not_a_knot(ref, pred.x)
 
 
 def relative_error(pred: GridField, ref: GridField) -> float:

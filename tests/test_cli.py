@@ -89,6 +89,34 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # rejected before any work
 
+    @pytest.mark.parametrize("section,fields,where", [
+        ("discretization", {"indicator": {"power": 2.5}}, "discretization.indicator.power"),
+        ("discretization", {"n_points": 48.5}, "discretization.n_points"),
+        ("discretization", {"q_stages": 10.9}, "discretization.q_stages"),
+        ("discretization", {"mask_dilation": 2.5}, "discretization.mask_dilation"),
+        ("network", {"seed": 0.5}, "network.seed"),
+        ("network", {"layers": 2.5}, "network.layers"),
+        ("network", {"width": 20.5}, "network.width"),
+        ("training", {"max_iterations": 120.5}, "training.max_iterations"),
+        ("reference", {"n_cells": 64.5}, "reference.n_cells"),
+    ])
+    def test_fractional_integer_setting_names_path(self, tmp_path, capsys, section, fields,
+                                                   where):
+        path = write_config(tmp_path, {section: fields})
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{where}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_float_settings_are_integers(self, tmp_path):
+        path = tmp_path / "floats.yaml"
+        path.write_text("training: {max_iterations: 2.0e5}\n"
+                        "discretization: {q_stages: 10.0}\n")
+        exp = cli.load_config(path)
+        assert exp.training.max_iterations == 200000
+        assert type(exp.training.max_iterations) is int
+        assert exp.disc.q_stages == 10 and exp.network.outputs == 11
+
     def test_yaml_exponent_literals_are_numbers(self, tmp_path):
         # YAML 1.2 floats; PyYAML's YAML 1.1 resolver reads them as strings
         path = tmp_path / "exp.yaml"
@@ -285,15 +313,28 @@ class TestSweep:
         assert serial_pool == [] and not (tmp_path / "s").exists()
 
 
-def test_installed_entry_point_smoke():
+def run_fresh_interpreter(*args):
     # the child imports the same package as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hpinn.cli", "run", "--config", "/nonexistent.yaml"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_installed_entry_point_smoke():
+    proc = run_fresh_interpreter("-m", "hpinn.cli", "run", "--config", "/nonexistent.yaml")
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_package_imports_no_scipy():
+    # the runtime needs numpy and pyyaml only; scipy is the tests' oracle
+    proc = run_fresh_interpreter(
+        "-c", "import sys, hpinn, hpinn.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

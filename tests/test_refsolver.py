@@ -2,12 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline  # the spline's oracle; a test-only dependency
 
 from hpinn import weno
 from hpinn.pde import PdeSpec, burgers
 from hpinn.refsolver import (
     SolverConfig,
     _ghosts,
+    _not_a_knot,
     relative_error,
     rhs,
     rk3_combine,
@@ -91,15 +93,31 @@ class TestRhs:
 class TestRk3:
     def test_zero_rhs_is_identity(self):
         u = np.linspace(0, 1, 16)
-        out = rk3_combine(u, 0.25, lambda v: np.zeros(16))
+        out = rk3_combine(u, 0.0, 0.25, lambda v, t: np.zeros(16))
         assert np.max(np.abs(out - u)) < 1e-15
 
     def test_linear_sink_matches_rk3_taylor(self):
         # u' = -u for one step dt = 0.1: classical third-order Taylor value
         dt = 0.1
-        out = rk3_combine(np.ones(16), dt, lambda v: -v)
+        out = rk3_combine(np.ones(16), 0.0, dt, lambda v, t: -v)
         expected = 1.0 - dt + dt**2 / 2 - dt**3 / 6
         assert np.max(np.abs(out - expected)) < 1e-14
+
+    def test_time_dependent_source_is_third_order(self):
+        # u' = cos t, nothing else: the stages must sample the source at their
+        # own times, or the step is only first order in time
+        pde = PdeSpec(
+            flux=lambda u: np.zeros_like(u),
+            dflux=lambda u: np.zeros_like(u),
+            source=lambda x, t: np.full_like(x, np.cos(t)),
+            initial=np.zeros_like,
+        )
+        errs = []
+        for steps in (10, 20, 40):
+            times = tuple(k / steps for k in range(1, steps + 1))  # one step each
+            _, fields = solve(SolverConfig(pde=pde, n_cells=16, snapshot_times=times))
+            errs.append(np.max(np.abs(fields[-1].values - np.sin(1.0))))
+        assert min(errs[0] / errs[1], errs[1] / errs[2]) > 7.0
 
     def test_cfl_violation_rejected(self):
         pde = burgers(0.0)
@@ -221,6 +239,28 @@ class TestSolve:
         pde = burgers(0.0)
         with pytest.raises(ValueError):
             solve(SolverConfig(pde=pde, n_cells=64, t_final=0.5, snapshot_times=(0.9,)))
+
+
+class TestNotAKnot:
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 300, 1000, 3000])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_matches_scipy_cubic_spline(self, n, scale):
+        rng = np.random.default_rng(n)
+        x0, dx = -1.0 + rng.uniform(-0.1, 0.1), rng.uniform(0.5, 2.0) / (n - 1)
+        ref = GridField(scale * rng.standard_normal(n), x0, dx)
+        knots = ref.x
+        queries = np.concatenate([knots, [x0, knots[-1]],
+                                  rng.uniform(x0, knots[-1], 4 * n)])
+        want = CubicSpline(knots, ref.values)(queries)
+        got = _not_a_knot(ref, queries)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(ref.values))
+
+    def test_reproduces_a_cubic(self):
+        # not-a-knot ends make the spline exact on any cubic, extrapolation too
+        cubic = lambda x: 2.0 * x**3 - x**2 + 0.5 * x - 3.0
+        ref = GridField(cubic(np.linspace(-1, 1, 9)), -1.0, 0.25)
+        x = np.linspace(-1.2, 1.2, 97)
+        assert np.max(np.abs(_not_a_knot(ref, x) - cubic(x))) < 1e-13
 
 
 class TestRelativeError:
