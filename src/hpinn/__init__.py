@@ -23,7 +23,6 @@ from .refsolver import SolverConfig, relative_error, solve
 from .weno import (
     DiscontinuityMask,
     GridField,
-    WenoConstants,
     discontinuity_flags,
     weno_derivative,
 )

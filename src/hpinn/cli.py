@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .autodiff import EvaluationError
-from .model import Discretization, TrainingConfig, TrainingDivergedError, march
+from .irk import check_stage_count
+from .model import Discretization, TrainingConfig, TrainingDivergedError, march, step_count
 from .network import NetworkConfig
 from .pde import PdeSpec, burgers
 from .refsolver import SolverConfig, reference_on_grid, solve
-from .weno import WenoConstants
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -68,13 +67,6 @@ _DEFAULTS = {
         "n_points": 300,
         "dt": 0.1,
         "q_stages": 10,
-        "mask_dilation": 3,
-        "indicator": {
-            "eps": 1e-40,
-            "delta": 1e-4,
-            "power": 6,
-            "threshold": 5e-4,
-        },
     },
     "network": {"layers": 5, "width": 20, "seed": 0},
     "training": {
@@ -112,15 +104,19 @@ def _merge(defaults, given, path=""):
     return out
 
 
-def _need_number(cfg, path, positive=False):
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
+def _number(node, path, positive=False):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {node!r}")
     if positive and node <= 0:
         raise ConfigError(f"{path}: must be positive, got {node!r}")
     return float(node)
+
+
+def _need_number(cfg, path, positive=False):
+    node = cfg
+    for part in path.split("."):
+        node = node[part]
+    return _number(node, path, positive)
 
 
 def _need_int(cfg, path, positive=False):
@@ -129,6 +125,18 @@ def _need_int(cfg, path, positive=False):
     if not value.is_integer():
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _checked(path, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError as a ConfigError naming `path`.
+
+    The package's own types check their values; this reports their verdict
+    before any work is spent.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 @dataclasses.dataclass
@@ -158,35 +166,25 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     domain = cfg["pde"]["domain"]
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError("pde.domain: expected [left, right]")
+    domain = tuple(_number(end, "pde.domain") for end in domain)
     nu = _need_number(cfg, "pde.viscosity")
-    if nu < 0:
-        raise ConfigError("pde.viscosity: must be nonnegative")
     bval = _need_number(cfg, "pde.boundary_value")
-    pde = dataclasses.replace(
-        burgers(nu), domain=(float(domain[0]), float(domain[1])), boundary_value=bval
-    )
+    pde = _checked("pde", lambda: dataclasses.replace(
+        burgers(nu), domain=domain, boundary_value=bval))
 
-    consts = WenoConstants(
-        eps=_need_number(cfg, "discretization.indicator.eps", positive=True),
-        delta=_need_number(cfg, "discretization.indicator.delta", positive=True),
-        p=_need_int(cfg, "discretization.indicator.power", positive=True),
-        c_t=_need_number(cfg, "discretization.indicator.threshold", positive=True),
-    )
     disc = Discretization(
         n_points=_need_int(cfg, "discretization.n_points", positive=True),
         dt=_need_number(cfg, "discretization.dt", positive=True),
         q_stages=_need_int(cfg, "discretization.q_stages", positive=True),
-        mask_dilation=_need_int(cfg, "discretization.mask_dilation"),
-        constants=consts,
     )
     if disc.n_points < 8:
         raise ConfigError("discretization.n_points: need at least 8 points")
-    if disc.mask_dilation < 0:
-        raise ConfigError("discretization.mask_dilation: must be nonnegative")
+    _checked("discretization.q_stages", check_stage_count, disc.q_stages)
 
     seed = _need_int(cfg, "network.seed") if seed_override is None else int(seed_override)
     cfg["network"]["seed"] = seed
-    network = NetworkConfig(
+    network = _checked(
+        "network", NetworkConfig,
         hidden_layers=_need_int(cfg, "network.layers", positive=True),
         width=_need_int(cfg, "network.width", positive=True),
         outputs=disc.q_stages + 1,
@@ -210,16 +208,13 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     times = cfg["outputs"]["profile_times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("outputs.profile_times: expected a nonempty list")
-    profile_times = tuple(sorted(float(t) for t in times))
-    if profile_times[-1] > t_final + 1e-12:
-        raise ConfigError("outputs.profile_times: beyond t_final")
+    profile_times = tuple(sorted(_number(t, "outputs.profile_times") for t in times))
+    _checked("outputs.t_final", step_count, t_final, disc.dt)
+    _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
     ref_n_cells = _need_int(cfg, "reference.n_cells", positive=True)
     ref_cfl = _need_number(cfg, "reference.cfl", positive=True)
-    try:  # the solver's own checks, before any training is spent
-        SolverConfig(pde=pde, n_cells=ref_n_cells, cfl=ref_cfl)
-    except ValueError as err:
-        raise ConfigError(f"reference: {err}") from err
+    _checked("reference", SolverConfig, pde=pde, n_cells=ref_n_cells, cfl=ref_cfl)
 
     out_dir = Path(out_override) if out_override is not None else Path(cfg["outputs"]["directory"])
     cfg["outputs"]["directory"] = str(out_dir)
@@ -452,7 +447,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergedError, EvaluationError, FloatingPointError) as err:
+    except (TrainingDivergedError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

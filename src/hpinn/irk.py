@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ButcherTableau", "gauss_legendre_tableau", "verify_order_conditions"]
+__all__ = ["ButcherTableau", "check_stage_count", "gauss_legendre_tableau",
+           "verify_order_conditions"]
 
 MAX_STAGES = 100
 
@@ -67,12 +68,17 @@ def _gauss_nodes_weights(q: int):
     return x[order], w[order]
 
 
-def gauss_legendre_tableau(q: int) -> ButcherTableau:
-    """Build the q-stage Gauss-Legendre tableau, 1 <= q <= 100."""
+def check_stage_count(q: int):
+    """Raise ValueError unless q is an integer in [1, MAX_STAGES]."""
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
         raise ValueError("stage count must be an integer")
     if not 1 <= q <= MAX_STAGES:
         raise ValueError(f"stage count must be in [1, {MAX_STAGES}], got {q}")
+
+
+def gauss_legendre_tableau(q: int) -> ButcherTableau:
+    """Build the q-stage Gauss-Legendre tableau, 1 <= q <= 100."""
+    check_stage_count(q)
 
     x, w = _gauss_nodes_weights(q)
     c = 0.5 * (x + 1.0)

@@ -15,28 +15,28 @@ vector-Jacobian product (`loss_node`).
 
 The discontinuity mask and the splitting speed lambda are computed once per
 time step from the known data u^n and then frozen, so the loss surface stays
-fixed and differentiable during the step; the mask is dilated a few cells to
-cover shock motion within dt.
+fixed and differentiable during the step; the mask is dilated
+`weno.MASK_DILATION` cells to cover shock motion within dt.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import EvaluationError, Graph, Value, fused
+from .autodiff import Graph, Value, fused
 from .irk import ButcherTableau, gauss_legendre_tableau
 from .network import NetworkConfig, NetworkParameters, init_xavier, stacked_stages
 from .pde import PdeSpec
 from .refsolver import SolverConfig, relative_error, solve
 from .weno import (
+    MASK_DILATION,
     DiscontinuityMask,
     GridField,
     SparseWenoZ,
-    WenoConstants,
     dilate_mask,
     discontinuity_flags,
 )
@@ -52,6 +52,7 @@ __all__ = [
     "loss_node",
     "build_loss_graph",
     "train_step",
+    "step_count",
     "march",
 ]
 
@@ -70,13 +71,15 @@ CURVATURE_STEP = 2.0**-40
 
 @dataclass(frozen=True)
 class Discretization:
-    """Spatial/temporal discretization of one experiment."""
+    """Spatial/temporal discretization of one experiment.
+
+    The WENO-Z and indicator numbers and the mask dilation are `weno`'s
+    module constants.
+    """
 
     n_points: int = 300
     dt: float = 0.1
     q_stages: int = 10
-    mask_dilation: int = 3
-    constants: WenoConstants = field(default_factory=WenoConstants)
     hybrid_enabled: bool = True  # False reproduces the plain discrete-time PINN
 
 
@@ -204,7 +207,7 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
     source = None if pde.source is None else np.stack(
         [pde.source(state.data.x, state.t_n + ci * disc.dt) for ci in tableau.c])
     weno = None if state.mask.count() == 0 else SparseWenoZ(
-        state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx, bv, disc.constants)
+        state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx, bv)
     reduce = np.mean if reduction == "mean" else np.sum
     ends = (0, n - 1)
     l_pde, l_bc = Value(0.0, label="l_pde"), Value(0.0, label="l_bc")
@@ -272,8 +275,7 @@ def build_loss_graph(params: NetworkParameters, state: TimeStepState, tableau: B
 def step_state(data: GridField, t_n: float, pde: PdeSpec, disc: Discretization) -> TimeStepState:
     """Freeze the mask and splitting speed for one step from the known data."""
     if disc.hybrid_enabled:
-        mask = discontinuity_flags(data, disc.constants)
-        mask = dilate_mask(mask, disc.mask_dilation)
+        mask = dilate_mask(discontinuity_flags(data), MASK_DILATION)
     else:
         mask = DiscontinuityMask(np.zeros(len(data), dtype=np.int64))
     lam = LAMBDA_SAFETY * pde.max_speed(data.values)
@@ -300,24 +302,21 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
                 parameter_norm=norm,
             )
 
+    graph, (total, l_pde, l_bc), stages = build_loss_graph(
+        params, state, tableau, pde, disc, config.loss_reduction
+    )
+    adam = Adam(params.leaves(), config.learning_rate)
+    initial_loss = float(total.data)
+    check_finite(initial_loss, 0)
+    loss = initial_loss
     iterations = 0
-    try:
-        graph, (total, l_pde, l_bc), stages = build_loss_graph(
-            params, state, tableau, pde, disc, config.loss_reduction
-        )
-        adam = Adam(params.leaves(), config.learning_rate)
-        initial_loss = float(total.data)
-        check_finite(initial_loss, 0)
-        loss = initial_loss
-        while loss >= config.loss_tolerance and iterations < config.max_iterations:
-            graph.backward()
-            adam.step()
-            iterations += 1
-            graph.refresh()
-            loss = float(total.data)
-            check_finite(loss, iterations)
-    except EvaluationError as err:
-        raise EvaluationError(f"{err} at step {step_index}, iteration {iterations}") from err
+    while loss >= config.loss_tolerance and iterations < config.max_iterations:
+        graph.backward()
+        adam.step()
+        iterations += 1
+        graph.refresh()
+        loss = float(total.data)
+        check_finite(loss, iterations)
 
     u_next = GridField(stages.data[0, q].copy(), state.data.x0, state.data.dx)
     diag = StepDiagnostics(
@@ -335,6 +334,22 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     return params, u_next, diag
 
 
+def step_count(t_final: float, dt: float, eval_times=()) -> int:
+    """The number of steps of `dt` that reach `t_final`.
+
+    Raises ValueError unless t_final is a multiple of dt and every eval time
+    is a step boundary in [0, t_final].
+    """
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-12:
+        raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
+    for t in eval_times:
+        k = int(round(t / dt))
+        if not 0 <= k <= n_steps or abs(k * dt - t) > 1e-9:
+            raise ValueError(f"eval time {t} does not land on a step boundary")
+    return n_steps
+
+
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
           ref_n_cells: int = 1000, ref_cfl: float = 0.4,
@@ -347,14 +362,8 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
-    n_steps = int(round(t_final / disc.dt))
-    if n_steps < 1 or abs(n_steps * disc.dt - t_final) > 1e-12:
-        raise ValueError(f"t_final={t_final} is not a multiple of dt={disc.dt}")
     eval_times = tuple(float(t) for t in eval_times)
-    for t in eval_times:
-        k = int(round(t / disc.dt))
-        if not 0 <= k <= n_steps or abs(k * disc.dt - t) > 1e-9:
-            raise ValueError(f"eval time {t} does not land on a step boundary")
+    n_steps = step_count(t_final, disc.dt, eval_times)
 
     if net_config.outputs != disc.q_stages + 1:
         net_config = NetworkConfig(
@@ -387,8 +396,6 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
                 iteration=err.iteration,
                 parameter_norm=err.parameter_norm,
             ) from err
-        except EvaluationError as err:
-            raise EvaluationError(f"step {n} (t={times[-1]:.6g}) aborted: {err}") from err
         fields.append(u_next)
         times.append((n + 1) * disc.dt)
         diagnostics.append(diag)

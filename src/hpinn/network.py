@@ -43,6 +43,8 @@ class NetworkConfig:
             raise ValueError("layer width must be positive")
         if self.outputs < 2:
             raise ValueError("need at least two outputs (q >= 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def layer_sizes(self):

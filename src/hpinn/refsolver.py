@@ -2,10 +2,9 @@
 TVD Runge-Kutta in time, explicit viscous term by central differences.
 
 The convection term is `weno.weno_derivative`, which runs the same WENO-Z
-kernel as the training loss's sparse branch, with the default constants and
-its divisor guards, on every interface.  The stepping functions work on plain
-arrays of grid values plus the spacing `dx`; the grid is `SolverConfig.grid()`
-and both walls hold `pde.boundary_value`.  Generates the fine-grid solutions
+kernel as the training loss's sparse branch, on every interface.  The
+stepping functions work on plain arrays of grid values plus the spacing `dx`;
+the grid is `SolverConfig.grid()` and both walls hold `pde.boundary_value`.  Generates the fine-grid solutions
 the hybrid model is measured against and provides the global relative error
 metric.
 """

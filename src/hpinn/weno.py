@@ -16,6 +16,11 @@ Smoothness indicators use the Jiang-Shu form with BOTH terms squared.  The
 unsquared 13/12 term sometimes seen in print can go negative, which breaks
 the weight formula; the squared form is the standard one and is what is
 implemented here.
+
+The scheme's numbers are module constants: the WENO-Z floor `EPS` (Borges et
+al., JCP 227 (2008) 3191), the indicator's `DELTA`, `POWER` and `THRESHOLD`,
+and the `MASK_DILATION` cells a flagged region grows by to cover shock motion
+within one step (arXiv 2112.01696).
 """
 
 from __future__ import annotations
@@ -24,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _check_divisor
-
 __all__ = [
     "GridField",
     "DiscontinuityMask",
-    "WenoConstants",
-    "DEFAULT_CONSTANTS",
     "candidate_fluxes",
     "smoothness_indicators",
     "beta3",
@@ -72,25 +73,11 @@ class GridField:
 
 
 LINEAR_WEIGHTS = (0.1, 0.6, 0.3)  # optimal (linear) WENO-Z weights d_0..d_2
-
-
-@dataclass(frozen=True)
-class WenoConstants:
-    """Reconstruction and indicator parameters (1-D defaults).
-
-    `eps` floors the WENO-Z weight denominators beta_k + eps of the training
-    loss's branch; `discontinuity_flags` never reads it.  `delta`, `p` and
-    `c_t` are the indicator's.  The reference solver always reconstructs
-    with `DEFAULT_CONSTANTS`.
-    """
-
-    eps: float = 1e-40               # keeps the weight denominators positive
-    delta: float = 1e-4              # indicator regularization, 1-D value
-    p: int = 6                       # scale-separation exponent
-    c_t: float = 5e-4                # indicator threshold
-
-
-DEFAULT_CONSTANTS = WenoConstants()
+EPS = 1e-40  # floor of the weight denominators beta_k + EPS
+DELTA = 1e-4  # indicator regularization, 1-D value
+POWER = 6  # indicator scale-separation exponent
+THRESHOLD = 5e-4  # indicator threshold c_t
+MASK_DILATION = 3  # cells a flagged region grows by on each side
 
 
 @dataclass
@@ -159,37 +146,34 @@ def split_flux(u_ext, flux_fn, lam: float):
     return (fe + lam * u_ext) * 0.5, (fe - lam * u_ext) * 0.5
 
 
-def _wenoz(s, consts: WenoConstants):
+def _wenoz(s):
     """WENO-Z flux at x_{j+1/2} from the upwind stencil arrays `s` = f_{j-2..j+2}.
 
     The arithmetic is elementwise, so the callers stack both upwind sides on
     a leading axis and reconstruct them in one call.  Returns the flux first,
-    then the intermediates `_wenoz_vjp` reads.  Every beta_k + eps and the
-    weight sum pass the graph's divisor guard, which raises
-    `EvaluationError` as the `/` node does.
+    then the intermediates `_wenoz_vjp` reads.  No divisor can vanish: each
+    beta_k is a sum of squares, so beta_k + EPS >= EPS, and each alpha_k >=
+    d_k, so the alpha sum is at least 1.
     """
     c = candidate_fluxes(s)
     b0, b1, b2 = smoothness_indicators(s)
     spread = b0 - b2
     tau5 = abs(spread)
-    dens = (b0 + consts.eps, b1 + consts.eps, b2 + consts.eps)
-    for den in dens:
-        _check_divisor(den, "weno_z")
+    dens = (b0 + EPS, b1 + EPS, b2 + EPS)
     ratios = tuple(tau5 / den for den in dens)
     alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(LINEAR_WEIGHTS, ratios))
     asum = alphas[0] + alphas[1] + alphas[2]
-    _check_divisor(asum, "weno_z")
     w = tuple(a / asum for a in alphas)
     fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
     return fhat, s, c, w, asum, dens, ratios, spread
 
 
-def _wenoz_vjp(g, tape, consts: WenoConstants):
+def _wenoz_vjp(g, tape):
     """Gradient on the five stencil values of <g, reconstructed flux>."""
     fhat, (v0, v1, v2, v3, v4), c, w, asum, dens, ratios, spread = tape
     # fhat = sum_k w_k c_k with w_k = alpha_k / asum
     gc0, gc1, gc2 = (g * wk for wk in w)
-    # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + eps)
+    # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + EPS)
     gr = [g * (ck - fhat) / asum * (2.0 * d) * r
           for ck, d, r in zip(c, LINEAR_WEIGHTS, ratios)]
     gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
@@ -227,13 +211,14 @@ class SparseWenoZ:
     ghost-padded columns each interface reads; ghosts hold `boundary_value`.
     A call runs the `_wenoz` kernel on those interfaces alone, so each value
     is bit for bit the one `weno_derivative` gives at that point from the
-    field padded with `boundary_value`.  `vjp` differentiates the
+    field padded with `boundary_value`, the two sharing `EPS`.  `vjp`
+    differentiates the
     candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
     by hand (`_wenoz_vjp`), from what the last call kept.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
-                 boundary_value: float = 0.0, consts: WenoConstants = DEFAULT_CONSTANTS):
+                 boundary_value: float = 0.0):
         n = len(flags)
         self.points = np.flatnonzero(flags)
         # f_hat index k is the interface x_{k-1/2}: point j differences k = j, j + 1
@@ -246,7 +231,7 @@ class SparseWenoZ:
         self._ghost = (src < 0) | (src >= n)
         self._n = n
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
-        self.boundary_value, self.consts = boundary_value, consts
+        self.boundary_value = boundary_value
         self._tape = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -258,7 +243,7 @@ class SparseWenoZ:
         fp, fm = split_flux(ue, self.flux_fn, self.lam)
         # both upwind sides at once: f+ left-biased, f- mirrored about x_{k-1/2}
         sides = np.stack((fp[..., :5, :], fm[..., 5:0:-1, :]))
-        tape = _wenoz(tuple(sides[..., m, :] for m in range(5)), self.consts)
+        tape = _wenoz(tuple(sides[..., m, :] for m in range(5)))
         self._tape = (ue, tape)
         plus, minus = tape[0]
         fhat = plus + minus
@@ -273,7 +258,7 @@ class SparseWenoZ:
             gfhat = np.zeros(tape[0].shape[1:])
             gfhat[..., self._hi] = g
             gfhat[..., self._lo] -= g
-            gsides = np.stack(_wenoz_vjp(gfhat, tape, self.consts), axis=-2)
+            gsides = np.stack(_wenoz_vjp(gfhat, tape), axis=-2)
             gp = np.zeros(ue.shape)
             gm = np.zeros(ue.shape)
             gp[..., :5, :] = gsides[0]
@@ -296,7 +281,7 @@ def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.nda
     # f+ the left-biased five, f- the same stencil mirrored about the interface
     sides = np.array([[fp[k : k + n + 1] for k in range(5)],
                       [fm[k : k + n + 1] for k in range(5, 0, -1)]])
-    plus, minus = _wenoz(tuple(sides[:, m] for m in range(5)), DEFAULT_CONSTANTS)[0]
+    plus, minus = _wenoz(tuple(sides[:, m] for m in range(5)))[0]
     fhat = plus + minus
     return (fhat[1:] - fhat[:-1]) * (1.0 / dx)
 
@@ -304,13 +289,13 @@ def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.nda
 # -- discontinuity indicator --------------------------------------------------
 
 
-def discontinuity_flags(u: GridField, consts: WenoConstants = DEFAULT_CONSTANTS) -> DiscontinuityMask:
+def discontinuity_flags(u: GridField) -> DiscontinuityMask:
     """Classify each point as smooth (0) or discontinuous (1).
 
     At point j the four indicators are beta_0..beta_2 over the centered
     5-stencil and beta_3 over {j+1, j+2, j+3}; the normalized scale-separation
-    measures chi_k = gamma_k / sum(gamma) with gamma_k = (beta_k + delta)^-p
-    must ALL exceed c_t for the point to count as smooth.
+    measures chi_k = gamma_k / sum(gamma) with gamma_k = (beta_k + DELTA)^-POWER
+    must ALL exceed THRESHOLD for the point to count as smooth.
 
     Flags are evaluated only where the full stencil fits inside the domain
     (j in [2, n-4]); the remaining boundary points stay 0.  There is no
@@ -325,10 +310,10 @@ def discontinuity_flags(u: GridField, consts: WenoConstants = DEFAULT_CONSTANTS)
     s = tuple(f[k : k + m] for k in range(6))  # offsets j-2 .. j+3
     b0, b1, b2 = smoothness_indicators(s[:5])
     b3 = beta3(s[3:6])
-    gamma = (np.stack([b0, b1, b2, b3]) + consts.delta) ** (-float(consts.p))
+    gamma = (np.stack([b0, b1, b2, b3]) + DELTA) ** (-float(POWER))
     chi = gamma / gamma.sum(axis=0)
     flags = np.zeros(n, dtype=np.int64)
-    flags[2 : n - 3] = ~np.all(chi > consts.c_t, axis=0)
+    flags[2 : n - 3] = ~np.all(chi > THRESHOLD, axis=0)
     return DiscontinuityMask(flags)
 
 

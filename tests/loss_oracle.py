@@ -16,7 +16,7 @@ import numpy as np
 from hpinn import autodiff as ad
 from hpinn.autodiff import Graph, Jet, Value
 from hpinn.network import forward_stages
-from hpinn.weno import DEFAULT_CONSTANTS, SparseWenoZ
+from hpinn.weno import SparseWenoZ
 
 
 def tanh(a: Value) -> Value:
@@ -82,8 +82,7 @@ def mean(a: Value) -> Value:
 # -- the loss -----------------------------------------------------------------
 
 
-def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float,
-                      consts=DEFAULT_CONSTANTS) -> Value:
+def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float) -> Value:
     """f(u)_x per stage row: autodiff at smooth points, WENO-Z where flagged.
 
     The WENO-Z branch is one node: the divided difference at the flagged
@@ -93,7 +92,7 @@ def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float,
     conv_ad = pde.dflux(stages.u) * stages.dx
     if mask.count() == 0:
         return conv_ad
-    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx, pde.boundary_value, consts)
+    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx, pde.boundary_value)
     points = weno.points
 
     def forward(conv, u):
@@ -110,7 +109,7 @@ def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float,
 
 
 def residual_operator(stages: Jet, mask, pde, lam: float, grid, t_n: float, dt: float,
-                      tableau, consts=DEFAULT_CONSTANTS, convection=hybrid_convection) -> Value:
+                      tableau, convection=hybrid_convection) -> Value:
     """N[u] = f(u)_x - nu*u_xx - h for the first q stage rows.
 
     The viscous term always uses the autodiff second derivative, in smooth
@@ -122,7 +121,7 @@ def residual_operator(stages: Jet, mask, pde, lam: float, grid, t_n: float, dt: 
         None if stages.dx is None else rows(stages.dx, 0, q),
         None if stages.dxx is None else rows(stages.dxx, 0, q),
     )
-    resid = convection(head, mask, pde, lam, grid.dx, consts)
+    resid = convection(head, mask, pde, lam, grid.dx)
     if pde.viscosity > 0.0:
         if head.dxx is None:
             raise ValueError("viscous residual needs order-2 stage fields")
@@ -177,7 +176,7 @@ def loss_graph(params, state, tableau, pde, disc, reduction="mean",
     order = 2 if pde.viscosity > 0.0 else 1
     jet = forward(params, state.data.x, order)
     resid = residual_operator(jet, state.mask, pde, state.lam, state.data, state.t_n, disc.dt,
-                              tableau, disc.constants, convection)
+                              tableau, convection)
     targets = stage_targets(jet.u, resid, tableau, disc.dt)
     total, l_pde, l_bc = compute_loss(targets, jet.u, state.data.values, pde.boundary_value,
                                       reduction)

@@ -5,21 +5,21 @@ retrain the network over full marches against the paper's error bars, are
 not written yet: nothing here carries the `slow` marker, so --runslow adds
 no test.  The note below records what those criteria will face.
 
-Criterion 6 note, measured by hand (no test here reproduces these numbers
-yet): on the specified error metric (relative L2 over the 300 collocation
-points against the cubic-interpolated 1000-point reference), ANY
-solution whose shock is grid-captured at 300 points scores ~3.7e-2, because
+Criterion 6 note: on the specified error metric (relative L2 over the 300
+collocation points against the cubic-interpolated 1000-point reference), ANY
+solution whose shock is grid-captured at 300 points scores ~3.9e-2, because
 the two collocation points straddling the stationary shock sit inside the
 captured transition (|u| ~ 0.68) while the interpolated fine-grid reference
 is already at the post-shock plateau (|u| ~ 0.95) there.  The classical
 WENO-Z solver itself - the method the reference solution comes from - scores
-3.7e-2 at 300 points on this metric, and the flagged-cell equations force
-the same captured profile on the trained network (a sharp sub-cell shock has
-WENO residual ~ 1e2 at the straddle points, so it cannot satisfy the
-system).  The <= 2e-2 bars of the two dt=0.1 cells therefore sit below the
+3.90e-2 at 300 points on this metric at t=1 (3.89e-2 inviscid;
+`test_error_floor_of_method_and_metric` measures it), and the flagged-cell
+equations force the same captured profile on the trained network (a sharp
+sub-cell shock has WENO residual ~ 1e2 at the straddle points, so it cannot
+satisfy the system).  The <= 2e-2 bars of the two dt=0.1 cells therefore sit below the
 representational floor of method + metric, and asserts at those bars will
 be red; the same runs measured in relative L1 land at the paper's reported
-magnitudes (~4e-3).
+magnitudes (3.8e-3 for the solver).
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ from hpinn.model import (
 )
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import burgers
-from hpinn.refsolver import SolverConfig, relative_error, solve
+from hpinn.refsolver import SolverConfig, reference_on_grid, relative_error, solve
 from hpinn.weno import (
     DiscontinuityMask,
     GridField,
@@ -219,6 +219,25 @@ def test_criterion_5_reference_solver():
         f"characteristics max err {char_err:.2e} (< 1e-3); overshoot {overshoot:.2e}"
         f" (<= 1e-6); max TV step increase {tv_step:.2e}, net TV decay "
         f"{tvs[0] - tvs[-1]:.3f}",
+    )
+
+
+# -- the floor under criteria 6-8 --------------------------------------------------
+
+
+def test_error_floor_of_method_and_metric():
+    # the reference solver at the 300 collocation points against its own
+    # 1000-point run: the best a grid-captured shock can score at t=1
+    pde = burgers(NU)
+    coarse, fine = (solve(SolverConfig(pde=pde, n_cells=n, t_final=1.0))[1][0]
+                    for n in (300, 1000))
+    ref = reference_on_grid(fine, coarse)
+    l2 = relative_error(coarse, fine)
+    l1 = float(np.abs(coarse.values - ref).sum() / np.abs(ref).sum())
+    report(
+        "error floor at 300 points",
+        l2 > 2e-2 and l1 < 1e-2,
+        f"relative L2 {l2:.3e} (above the 2e-2 bars); relative L1 {l1:.3e} (< 1e-2)",
     )
 
 

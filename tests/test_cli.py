@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from hpinn import cli
-from hpinn.autodiff import EvaluationError
 from hpinn.model import TrainingDivergedError
 
 TINY = {
@@ -45,8 +44,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("section,fields,where", [
         ("pde", {"source": "zero"}, "pde.source"),
         ("outputs", {"format": "csv"}, "outputs.format"),
-        ("discretization", {"indicator": {"on_flux": False}},
-         "discretization.indicator.on_flux"),
+        ("discretization", {"indicator": {"on_flux": False}}, "discretization.indicator"),
+        ("discretization", {"indicator": {"eps": 1e-40}}, "discretization.indicator"),
+        ("discretization", {"indicator": {"delta": 1e-4}}, "discretization.indicator"),
+        ("discretization", {"indicator": {"power": 6}}, "discretization.indicator"),
+        ("discretization", {"indicator": {"threshold": 5e-4}}, "discretization.indicator"),
+        ("discretization", {"mask_dilation": 3}, "discretization.mask_dilation"),
     ])
     def test_keys_without_a_setting_are_unknown(self, tmp_path, capsys, section, fields, where):
         path = write_config(tmp_path, {section: fields})
@@ -69,11 +72,29 @@ class TestConfigErrors:
         path = write_config(tmp_path, {"outputs": {"profile_times": [0.9]}})
         assert cli.main(["run", "--config", str(path)]) == 2
 
-    def test_negative_mask_dilation(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"discretization": {"mask_dilation": -1}})
-        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("overrides,flags,message", [
+        ({"outputs": {"profile_times": [0.3]}}, [],
+         "outputs.profile_times: eval time 0.3 does not land on a step boundary"),
+        ({"outputs": {"t_final": 0.75}}, [],
+         "outputs.t_final: t_final=0.75 is not a multiple of dt=0.5"),
+        ({"outputs": {"profile_times": ["abc"]}}, [],
+         "outputs.profile_times: expected a number, got 'abc'"),
+        ({"outputs": {"t_final": 1.0, "profile_times": [-0.5, 1.0]}}, [],
+         "outputs.profile_times: eval time -0.5 does not land on a step boundary"),
+        ({"pde": {"domain": [1.0, -1.0]}}, [], "pde: domain must be a nonempty interval"),
+        ({"pde": {"domain": ["a", 1]}}, [], "pde.domain: expected a number, got 'a'"),
+        ({"discretization": {"q_stages": 101}}, [],
+         "discretization.q_stages: stage count must be in [1, 100], got 101"),
+        ({"network": {"seed": -1}}, [], "network: seed must be nonnegative, got -1"),
+        ({}, ["--seed", "-1"], "network: seed must be nonnegative, got -1"),
+    ])
+    def test_setting_the_package_rejects(self, tmp_path, capsys, overrides, flags, message):
+        # the package's own checks (PdeSpec, NetworkConfig, the tableau's
+        # stage range, march's step boundaries) run before any training
+        path = write_config(tmp_path, overrides)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x"), *flags])
         assert code == 2
-        assert "discretization.mask_dilation: must be nonnegative" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("verb", ["reference", "run"])
@@ -90,10 +111,12 @@ class TestConfigErrors:
         assert not (tmp_path / "x").exists()  # rejected before any work
 
     @pytest.mark.parametrize("section,fields,where", [
-        ("discretization", {"indicator": {"power": 2.5}}, "discretization.indicator.power"),
+        # a fraction below one passes the positivity check
+        ("discretization", {"q_stages": 0.5}, "discretization.q_stages"),
         ("discretization", {"n_points": 48.5}, "discretization.n_points"),
         ("discretization", {"q_stages": 10.9}, "discretization.q_stages"),
-        ("discretization", {"mask_dilation": 2.5}, "discretization.mask_dilation"),
+        # below the 8-point minimum, but reported as fractional first
+        ("discretization", {"n_points": 7.5}, "discretization.n_points"),
         ("network", {"seed": 0.5}, "network.seed"),
         ("network", {"layers": 2.5}, "network.layers"),
         ("network", {"width": 20.5}, "network.width"),
@@ -176,7 +199,7 @@ class TestRun:
         path = write_config(tmp_path)
         failures = (
             TrainingDivergedError("non-finite loss at step 0", iteration=17),
-            EvaluationError("near-zero divisor in node 'div'"),
+            FloatingPointError("reference solve went non-finite at t=0.5"),
         )
         for failure in failures:
             def explode(*args, failure=failure, **kwargs):
@@ -186,19 +209,6 @@ class TestRun:
             code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
             assert code == 3, type(failure).__name__
             assert "numerical failure" in capsys.readouterr().err
-
-    def test_near_zero_divisor_exits_3(self, tmp_path, capsys):
-        # a threshold no point can meet flags every point, and eps below the
-        # divisor guard leaves beta + eps ~ 0 on the all-ghost stencils
-        indicator = {"eps": 1.0e-320, "threshold": 0.3}
-        path = write_config(tmp_path, {"discretization": {"indicator": indicator}})
-        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "near-zero divisor" in err
-        # the graph build evaluates the first loss: step 0, before any update
-        assert "step 0 (t=0)" in err
-        assert "iteration 0" in err
 
 
 class TestBaseline:
@@ -311,6 +321,16 @@ class TestSweep:
         assert exit_info.value.code == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert serial_pool == [] and not (tmp_path / "s").exists()
+
+
+def test_shipped_presets_load():
+    # a preset that still carries a deleted key fails as an unknown field
+    presets = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert presets
+    for path in presets:
+        exp = cli.load_config(path)
+        assert (exp.disc.n_points, exp.disc.q_stages, exp.disc.dt) == (300, 10, 0.1), path
+        assert exp.training.loss_reduction == "sum", path
 
 
 def run_fresh_interpreter(*args):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hpinn.autodiff as ad
-from hpinn.autodiff import EvaluationError, Graph, Jet, Value
+from hpinn.autodiff import Graph, Jet, Value
 from hpinn.irk import gauss_legendre_tableau
 from hpinn.model import (
     Adam,
@@ -509,15 +509,6 @@ class TestGradientFlow:
             assert abs(float(plain.data) - float(blend.data)) < 1e-14
 
 
-def test_step_state_dilation_wider_than_the_grid():
-    # 2 * 8 + 1 cells of dilation on a 12-point grid: the mask keeps 12 entries
-    x = np.linspace(-1, 1, 12)
-    data = GridField(np.where(x < 0, 1.0, -1.0), -1.0, x[1] - x[0])
-    disc = Discretization(n_points=12, q_stages=1, mask_dilation=8)
-    state = step_state(data, 0.0, burgers(0.0), disc)
-    assert np.array_equal(state.mask.flags, np.ones(12))
-
-
 class TestTrainStep:
     def test_zero_data_converges_to_zero_solution(self):
         n = 64
@@ -563,28 +554,6 @@ class TestTrainStep:
             train_step(state, params, tab, pde, disc, TrainingConfig())
         assert err.value.iteration == 0
         assert err.value.parameter_norm is not None
-
-    def test_evaluation_error_names_step_and_iteration(self, monkeypatch):
-        # the third refresh evaluates the loss after three Adam updates
-        n = 48
-        x = np.linspace(-1, 1, n)
-        grid = GridField(-np.sin(np.pi * x), -1.0, x[1] - x[0])
-        pde = burgers(0.0)
-        disc = Discretization(n_points=n, dt=0.2, q_stages=1)
-        state = step_state(grid, 0.0, pde, disc)
-        params = init_xavier(NetworkConfig(outputs=2, seed=2))
-        refresh, calls = Graph.refresh, []
-
-        def failing_refresh(graph):
-            calls.append(graph)
-            if len(calls) == 3:
-                raise EvaluationError("near-zero divisor in node 'weno_z'")
-            return refresh(graph)
-
-        monkeypatch.setattr(Graph, "refresh", failing_refresh)
-        with pytest.raises(EvaluationError, match=r"'weno_z' at step 4, iteration 3$"):
-            train_step(state, params, gauss_legendre_tableau(1), pde, disc,
-                       TrainingConfig(max_iterations=10), step_index=4)
 
 
 class TestMarch:

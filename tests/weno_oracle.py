@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hpinn.weno import (
-    DEFAULT_CONSTANTS,
+    EPS,
     LINEAR_WEIGHTS,
-    WenoConstants,
     candidate_fluxes,
     smoothness_indicators,
     split_flux,
@@ -26,23 +25,22 @@ from hpinn.weno import (
 from loss_oracle import pad_const, window
 
 
-def wenoz_weights(betas, consts: WenoConstants = DEFAULT_CONSTANTS):
+def wenoz_weights(betas):
     """Nonlinear WENO-Z weights with global indicator tau5 = |beta0 - beta2|."""
     b0, b1, b2 = betas
     tau5 = abs(b0 - b2)
     d0, d1, d2 = LINEAR_WEIGHTS
-    eps = consts.eps
-    a0 = d0 * (1.0 + (tau5 / (b0 + eps)) ** 2)
-    a1 = d1 * (1.0 + (tau5 / (b1 + eps)) ** 2)
-    a2 = d2 * (1.0 + (tau5 / (b2 + eps)) ** 2)
+    a0 = d0 * (1.0 + (tau5 / (b0 + EPS)) ** 2)
+    a1 = d1 * (1.0 + (tau5 / (b1 + EPS)) ** 2)
+    a2 = d2 * (1.0 + (tau5 / (b2 + EPS)) ** 2)
     asum = a0 + a1 + a2
     return a0 / asum, a1 / asum, a2 / asum
 
 
-def reconstruct_interface_flux(stencil, consts: WenoConstants = DEFAULT_CONSTANTS):
+def reconstruct_interface_flux(stencil):
     """Fifth-order WENO-Z flux at x_{j+1/2} from the upwind 5-point stencil."""
     c0, c1, c2 = candidate_fluxes(stencil)
-    w0, w1, w2 = wenoz_weights(smoothness_indicators(stencil), consts)
+    w0, w1, w2 = wenoz_weights(smoothness_indicators(stencil))
     return w0 * c0 + w1 * c1 + w2 * c2
 
 
@@ -50,8 +48,7 @@ def _np_window(a, start, length):
     return a[..., start : start + length]
 
 
-def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window,
-                         consts: WenoConstants = DEFAULT_CONSTANTS):
+def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window):
     """(f_hat_{i+1/2} - f_hat_{i-1/2}) / dx from split fluxes with 3 ghosts.
 
     `fplus_ext`/`fminus_ext` carry the split flux on the extended grid
@@ -62,11 +59,11 @@ def weno_flux_divergence(fplus_ext, fminus_ext, n, dx, win=_np_window,
     n_ifaces = n + 1  # interfaces i + 1/2 for i = -1 .. n-1
     sp = tuple(win(fplus_ext, 2 + m, n_ifaces) for m in (-2, -1, 0, 1, 2))
     sm = tuple(win(fminus_ext, 2 + m, n_ifaces) for m in (3, 2, 1, 0, -1))
-    fhat = reconstruct_interface_flux(sp, consts) + reconstruct_interface_flux(sm, consts)
+    fhat = reconstruct_interface_flux(sp) + reconstruct_interface_flux(sm)
     return (win(fhat, 1, n) - win(fhat, 0, n)) * (1.0 / dx)
 
 
-def dense_convection(stages, mask, pde, lam, dx, consts=DEFAULT_CONSTANTS):
+def dense_convection(stages, mask, pde, lam, dx):
     """`loss_oracle.hybrid_convection` as a composition of generic graph nodes.
 
     Same signature, so it can stand in for it inside `loss_oracle.loss_graph`.
@@ -76,7 +73,7 @@ def dense_convection(stages, mask, pde, lam, dx, consts=DEFAULT_CONSTANTS):
     conv_ad = pde.dflux(stages.u) * stages.dx
     ue = pad_const(stages.u, 3, 3, pde.boundary_value)
     fp, fm = split_flux(ue, pde.flux, lam)
-    conv_weno = weno_flux_divergence(fp, fm, len(mask), dx, win=window, consts=consts)
+    conv_weno = weno_flux_divergence(fp, fm, len(mask), dx, win=window)
     m = mask.flags.astype(np.float64)
     return conv_ad * (1.0 - m) + conv_weno * m
 
