@@ -249,7 +249,7 @@ def _csv(rows, header) -> str:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    return repr(float(v))  # the shortest text that reads back as the same float
 
 
 def _profile_name(prefix: str, t: float) -> str:
@@ -376,6 +376,14 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: int) -> int:
+    bad = []  # every swept dt must divide t_final, checked before any cell runs
+    for dt in dts:
+        try:
+            step_count(exp.t_final, dt)
+        except ValueError:
+            bad.append(_fmt(dt))
+    if bad:
+        raise ConfigError(f"--dt: {', '.join(bad)} does not divide t_final={_fmt(exp.t_final)}")
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     cells = [
         (str(config_path), str(exp.out_dir), base_seed, q, dt, nu)
@@ -399,7 +407,8 @@ def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: 
         _csv(table, ("q", "dt", "nu", "rel_error", "iterations", "converged", "error")),
     )
     for r in table:
-        print(f"q={r[0]} dt={r[1]} nu={r[2]}: rel_error={r[3] or 'FAILED'} ({r[6]})".rstrip(" ()"))
+        print(f"q={r[0]} dt={r[1]} nu={r[2]}: rel_error={r[3] or 'FAILED'}"
+              + (f" ({r[6]})" if r[6] else ""))
     return EXIT_OK
 
 

@@ -340,7 +340,7 @@ def step_count(t_final: float, dt: float, eval_times=()) -> int:
     Raises ValueError unless t_final is a multiple of dt and every eval time
     is a step boundary in [0, t_final].
     """
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(t_final / dt)) if dt > 0.0 else 0
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-12:
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
     for t in eval_times:

@@ -6,16 +6,16 @@ One kernel, ``_wenoz``, reconstructs the WENO-Z interface flux for both the
 reference solver (``weno_derivative``, every interface of a field the caller
 has padded with ghost cells) and the training loss (``SparseWenoZ``, the
 flagged points and their 3-cell halos, with a hand-written vector-Jacobian
-product that ``model.loss_node`` calls).
-The kernels here serve ndarrays.  The WENO-Z composition over autodiff Values,
-which the tests keep as an oracle, lives in ``tests/weno_oracle.py``; it
-reuses the plain arithmetic of ``candidate_fluxes`` and
-``smoothness_indicators``.
+product that ``model.loss_node`` calls).  It runs on one slot-first (5, M)
+stencil array holding both upwind sides of every interface, through its
+substencil windows S[0:3], S[1:4] and S[2:5], as does the indicator's
+beta_0..beta_2.  Every sum keeps the order of the formulas written out term
+by term, so the numbers are bit for bit those of the tuple-form kernel kept
+in ``tests/weno_oracle.py``, next to the composition over autodiff Values.
 
-Smoothness indicators use the Jiang-Shu form with BOTH terms squared.  The
-unsquared 13/12 term sometimes seen in print can go negative, which breaks
-the weight formula; the squared form is the standard one and is what is
-implemented here.
+Smoothness indicators use the standard Jiang-Shu form with BOTH terms
+squared: the unsquared 13/12 term sometimes seen in print can go negative,
+which breaks the weight formula.
 
 The scheme's numbers are module constants: the WENO-Z floor `EPS` (Borges et
 al., JCP 227 (2008) 3191), the indicator's `DELTA`, `POWER` and `THRESHOLD`,
@@ -28,12 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridField",
     "DiscontinuityMask",
-    "candidate_fluxes",
-    "smoothness_indicators",
     "beta3",
     "split_flux",
     "weno_derivative",
@@ -99,25 +98,25 @@ class DiscontinuityMask:
         return int(self.flags.sum())
 
 
-# -- stencil kernels (backend-agnostic arithmetic) ---------------------------
+# -- stencil kernels ----------------------------------------------------------
+# A kernel takes one C-contiguous (5, M) stencil array S (row m: f_{j-2+m} at
+# M interfaces) and works on its windows lo = S[0:3], mid = S[1:4] and
+# hi = S[2:5], whose row k belongs to substencil k.  Row lo/mid/hi of _C and
+# _Q weighs that window: candidate fluxes (C_lo lo + C_mid mid + C_hi hi) / 6,
+# Jiang-Shu differences P = lo - 2 mid + hi and Q = Q_lo lo + Q_mid mid + Q_hi hi.
+_C = np.array([[2.0, -1.0, 2.0], [-7.0, 5.0, 5.0], [11.0, 2.0, -1.0]])
+_Q = np.array([[1.0, 1.0, 3.0], [-4.0, 0.0, -4.0], [3.0, -1.0, 1.0]])
+(_C_LO, _C_MID, _C_HI), (_Q_LO, _Q_MID, _Q_HI) = _C[:, :, None], _Q[:, :, None]
+_P = np.array([[1.0], [-2.0], [1.0]])
+_D = np.array(LINEAR_WEIGHTS)[:, None]
 
 
-def candidate_fluxes(stencil):
-    """Third-order candidate fluxes at x_{j+1/2} from f_{j-2..j+2}."""
-    fm2, fm1, f0, fp1, fp2 = stencil
-    f_hat0 = (2.0 * fm2 - 7.0 * fm1 + 11.0 * f0) * (1.0 / 6.0)
-    f_hat1 = (-1.0 * fm1 + 5.0 * f0 + 2.0 * fp1) * (1.0 / 6.0)
-    f_hat2 = (2.0 * f0 + 5.0 * fp1 - 1.0 * fp2) * (1.0 / 6.0)
-    return f_hat0, f_hat1, f_hat2
-
-
-def smoothness_indicators(stencil):
-    """Jiang-Shu beta_0..beta_2 over the three substencils (both terms squared)."""
-    fm2, fm1, f0, fp1, fp2 = stencil
-    b0 = (13.0 / 12.0) * (fm2 - 2.0 * fm1 + f0) ** 2 + 0.25 * (fm2 - 4.0 * fm1 + 3.0 * f0) ** 2
-    b1 = (13.0 / 12.0) * (fm1 - 2.0 * f0 + fp1) ** 2 + 0.25 * (fm1 - fp1) ** 2
-    b2 = (13.0 / 12.0) * (f0 - 2.0 * fp1 + fp2) ** 2 + 0.25 * (3.0 * f0 - 4.0 * fp1 + fp2) ** 2
-    return b0, b1, b2
+def _indicators(s):
+    """Jiang-Shu beta_0..beta_2 (both terms squared), with their P and Q."""
+    lo, mid, hi = s[0:3], s[1:4], s[2:5]
+    p = lo - 2.0 * mid + hi
+    q = _Q_LO * lo + _Q_MID * mid + _Q_HI * hi
+    return (13.0 / 12.0) * p ** 2 + 0.25 * q ** 2, p, q
 
 
 def beta3(stencil):
@@ -147,127 +146,122 @@ def split_flux(u_ext, flux_fn, lam: float):
 
 
 def _wenoz(s):
-    """WENO-Z flux at x_{j+1/2} from the upwind stencil arrays `s` = f_{j-2..j+2}.
+    """WENO-Z flux at x_{j+1/2} from the (5, M) upwind stencils `s` = f_{j-2..j+2}.
 
-    The arithmetic is elementwise, so the callers stack both upwind sides on
-    a leading axis and reconstruct them in one call.  Returns the flux first,
-    then the intermediates `_wenoz_vjp` reads.  No divisor can vanish: each
-    beta_k is a sum of squares, so beta_k + EPS >= EPS, and each alpha_k >=
-    d_k, so the alpha sum is at least 1.
+    Columns are independent, so the callers put both upwind sides side by
+    side and reconstruct them in one call.  Returns the flux first, then the
+    intermediates `_wenoz_vjp` reads.  No divisor can vanish: each beta_k is a
+    sum of squares, so beta_k + EPS >= EPS, and each alpha_k >= d_k, so the
+    alpha sum is at least 1.
     """
-    c = candidate_fluxes(s)
-    b0, b1, b2 = smoothness_indicators(s)
-    spread = b0 - b2
-    tau5 = abs(spread)
-    dens = (b0 + EPS, b1 + EPS, b2 + EPS)
-    ratios = tuple(tau5 / den for den in dens)
-    alphas = tuple(d * (1.0 + r ** 2) for d, r in zip(LINEAR_WEIGHTS, ratios))
+    c = (_C_LO * s[0:3] + _C_MID * s[1:4] + _C_HI * s[2:5]) * (1.0 / 6.0)
+    beta, p, q = _indicators(s)
+    spread = beta[0] - beta[2]
+    dens = beta + EPS
+    ratios = abs(spread) / dens  # tau5 / (beta_k + EPS)
+    alphas = _D * (1.0 + ratios ** 2)
     asum = alphas[0] + alphas[1] + alphas[2]
-    w = tuple(a / asum for a in alphas)
+    w = alphas / asum
     fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
-    return fhat, s, c, w, asum, dens, ratios, spread
+    return fhat, c, w, asum, dens, ratios, spread, p, q
 
 
 def _wenoz_vjp(g, tape):
-    """Gradient on the five stencil values of <g, reconstructed flux>."""
-    fhat, (v0, v1, v2, v3, v4), c, w, asum, dens, ratios, spread = tape
+    """Gradient (5, M) on the stencils of <g, reconstructed flux>."""
+    fhat, c, w, asum, dens, ratios, spread, p, q = tape
     # fhat = sum_k w_k c_k with w_k = alpha_k / asum
-    gc0, gc1, gc2 = (g * wk for wk in w)
+    gc0, gc1, gc2 = g * w
     # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + EPS)
-    gr = [g * (ck - fhat) / asum * (2.0 * d) * r
-          for ck, d, r in zip(c, LINEAR_WEIGHTS, ratios)]
-    gtau = gr[0] / dens[0] + gr[1] / dens[1] + gr[2] / dens[2]
-    gb0, gb1, gb2 = (-grk * r / den for grk, r, den in zip(gr, ratios, dens))
-    sign = np.sign(spread)  # tau5 = |beta_0 - beta_2|
-    gb0 = gb0 + gtau * sign
-    gb2 = gb2 - gtau * sign
+    gr = g * (c - fhat) / asum * (2.0 * _D) * ratios
+    grd = gr / dens
+    gtau = (grd[0] + grd[1] + grd[2]) * np.sign(spread)  # tau5 = |beta_0 - beta_2|
+    gb = -gr * ratios / dens
+    gb[0] += gtau
+    gb[2] -= gtau
     # candidate fluxes
-    s0 = (2.0 / 6.0) * gc0
-    s1 = (-7.0 * gc0 - gc1) * (1.0 / 6.0)
-    s2 = (11.0 * gc0 + 5.0 * gc1 + 2.0 * gc2) * (1.0 / 6.0)
-    s3 = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
-    s4 = (-1.0 / 6.0) * gc2
-    # beta_k = 13/12 P_k^2 + 1/4 Q_k^2
-    t, q = (13.0 / 6.0) * gb0 * (v0 - 2.0 * v1 + v2), 0.5 * gb0 * (v0 - 4.0 * v1 + 3.0 * v2)
-    s0 = s0 + t + q
-    s1 = s1 - 2.0 * t - 4.0 * q
-    s2 = s2 + t + 3.0 * q
-    t, q = (13.0 / 6.0) * gb1 * (v1 - 2.0 * v2 + v3), 0.5 * gb1 * (v1 - v3)
-    s1 = s1 + t + q
-    s2 = s2 - 2.0 * t
-    s3 = s3 + t - q
-    t, q = (13.0 / 6.0) * gb2 * (v2 - 2.0 * v3 + v4), 0.5 * gb2 * (3.0 * v2 - 4.0 * v3 + v4)
-    s2 = s2 + t + 3.0 * q
-    s3 = s3 - 2.0 * t - 4.0 * q
-    s4 = s4 + t + q
-    return s0, s1, s2, s3, s4
+    gs = np.empty((5,) + g.shape)
+    gs[0] = (2.0 / 6.0) * gc0
+    gs[1] = (-7.0 * gc0 - gc1) * (1.0 / 6.0)
+    gs[2] = (11.0 * gc0 + 5.0 * gc1 + 2.0 * gc2) * (1.0 / 6.0)
+    gs[3] = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
+    gs[4] = (-1.0 / 6.0) * gc2
+    # beta_k = 13/12 P_k^2 + 1/4 Q_k^2, window by window
+    gp, gq = (13.0 / 6.0) * gb * p, 0.5 * gb * q
+    for k in range(3):
+        win = gs[k : k + 3]
+        win += _P * gp[k]
+        win += _Q[:, k : k + 1] * gq[k]
+    return gs
 
 
 class SparseWenoZ:
     """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
 
     Construction fixes, once per frozen mask, the flagged points, the
-    interfaces they difference (x_{j-1/2} and x_{j+1/2}) and the six
-    ghost-padded columns each interface reads; ghosts hold `boundary_value`.
-    A call runs the `_wenoz` kernel on those interfaces alone, so each value
-    is bit for bit the one `weno_derivative` gives at that point from the
-    field padded with `boundary_value`, the two sharing `EPS`.  `vjp`
-    differentiates the
-    candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
-    by hand (`_wenoz_vjp`), from what the last call kept.
+    interfaces x_{k-1/2} they difference (k = j, j + 1) and a (5, 2,
+    interfaces) index into u padded with GHOST rows of `boundary_value`: f+
+    slot m reads padded cell k + m, f- slot m the mirrored cell k + 5 - m.  A
+    call is a row copy into that buffer, a gather, the split flux and one
+    `_wenoz` call: each value is bit for bit `weno_derivative`'s from the field
+    padded with `boundary_value`.  `vjp` differentiates the last call.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
                  boundary_value: float = 0.0):
-        n = len(flags)
         self.points = np.flatnonzero(flags)
-        # f_hat index k is the interface x_{k-1/2}: point j differences k = j, j + 1
         ifaces = np.union1d(self.points, self.points + 1)
         self._lo = np.searchsorted(ifaces, self.points)
         self._hi = self._lo + 1
-        self._cols = ifaces + np.arange(2 * GHOST)[:, None]  # (6, interfaces), padded
-        src = self._cols - GHOST
-        self._src = np.clip(src, 0, n - 1)
-        self._ghost = (src < 0) | (src >= n)
-        self._n = n
+        cols = ifaces + np.arange(2 * GHOST)[:, None]  # (6, interfaces), padded
+        self._index = np.stack((cols[:5], cols[5:0:-1]), axis=1)
+        self._rows = np.unique(cols)  # the padded rows any stencil reads
+        self._slots = np.searchsorted(self._rows, cols)
+        self._signed_lam = np.array([lam, -lam])[:, None, None]  # f+ and f- sides
+        self._n = len(flags)
+        self._buf = np.empty((self._n + 2 * GHOST, 0))  # (padded n, rows)
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
         self.boundary_value = boundary_value
-        self._tape = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
         if not self.points.size:
             return np.zeros(u.shape[:-1] + (0,))
-        ue = u[..., self._src]  # (..., 6, interfaces)
-        ue[..., self._ghost] = self.boundary_value
-        fp, fm = split_flux(ue, self.flux_fn, self.lam)
-        # both upwind sides at once: f+ left-biased, f- mirrored about x_{k-1/2}
-        sides = np.stack((fp[..., :5, :], fm[..., 5:0:-1, :]))
-        tape = _wenoz(tuple(sides[..., m, :] for m in range(5)))
+        rows = u.reshape(-1, self._n).T
+        if self._buf.shape[1] != rows.shape[1]:
+            self._buf = np.full((self._n + 2 * GHOST, rows.shape[1]), self.boundary_value)
+        self._buf[GHOST : GHOST + self._n] = rows
+        ue = self._buf[self._index]  # (5, 2, interfaces, rows)
+        s = (self.flux_fn(ue) + self._signed_lam * ue) * 0.5
+        tape = _wenoz(s.reshape(5, -1))
         self._tape = (ue, tape)
-        plus, minus = tape[0]
+        plus, minus = tape[0].reshape(ue.shape[1:])
         fhat = plus + minus
-        return (fhat[..., self._hi] - fhat[..., self._lo]) * (1.0 / self.dx)
+        d = (fhat[self._hi] - fhat[self._lo]) * (1.0 / self.dx)
+        return d.T.reshape(u.shape[:-1] + (len(self.points),))
 
     def vjp(self, grad: np.ndarray) -> np.ndarray:
         """Gradient on u (..., n) of <grad, self(u)> at the last call's u."""
-        du = np.zeros(grad.shape[:-1] + (self._n + 2 * GHOST,))
-        if self.points.size:
-            ue, tape = self._tape
-            g = grad * (1.0 / self.dx)
-            gfhat = np.zeros(tape[0].shape[1:])
-            gfhat[..., self._hi] = g
-            gfhat[..., self._lo] -= g
-            gsides = np.stack(_wenoz_vjp(gfhat, tape), axis=-2)
-            gp = np.zeros(ue.shape)
-            gm = np.zeros(ue.shape)
-            gp[..., :5, :] = gsides[0]
-            gm[..., 5:0:-1, :] = gsides[1]
-            # f+- = (f(u) +- lam u) / 2
-            gue = 0.5 * ((gp + gm) * self.dflux_fn(ue) + self.lam * (gp - gm))
-            for m in range(2 * GHOST):
-                du[..., self._cols[m]] += gue[..., m, :]
-        return du[..., GHOST : GHOST + self._n]
+        if not self.points.size:
+            return np.zeros(grad.shape[:-1] + (self._n,))
+        ue, tape = self._tape
+        gfhat = np.zeros(ue.shape[2:])  # (interfaces, rows)
+        g = grad.reshape(-1, len(self.points)).T * (1.0 / self.dx)
+        gfhat[self._hi] = g
+        gfhat[self._lo] -= g
+        gs = _wenoz_vjp(np.concatenate((gfhat, gfhat)).reshape(-1), tape).reshape(ue.shape)
+        # back onto the six padded cells of each interface
+        gp, gm = np.zeros((2, 2 * GHOST) + gfhat.shape)
+        gp[:5] = gs[:, 0]
+        gm[5:0:-1] = gs[:, 1]
+        ue6 = np.concatenate((ue[:, 0], ue[:1, 1]))
+        # f+- = (f(u) +- lam u) / 2
+        gue = 0.5 * ((gp + gm) * self.dflux_fn(ue6) + self.lam * (gp - gm))
+        # each padded row sums its cells' terms in the order m = 0 .. 5
+        terms = np.zeros((2 * GHOST, len(self._rows), g.shape[1]))
+        terms[np.arange(2 * GHOST)[:, None], self._slots] = gue
+        du = np.zeros((self._n + 2 * GHOST, g.shape[1]))
+        du[self._rows] = terms.sum(axis=0)
+        return du[GHOST : GHOST + self._n].T.reshape(grad.shape[:-1] + (self._n,))
 
 
 def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.ndarray:
@@ -276,13 +270,11 @@ def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.nda
     `u_ext` is the field with GHOST ghost cells already on each side.
     """
     n = u_ext.shape[0] - 2 * GHOST
-    fp, fm = split_flux(u_ext, flux_fn, lam)
-    # each interface x_{i-1/2}, i = 0 .. n, reads the extended-grid cells i .. i + 5:
-    # f+ the left-biased five, f- the same stencil mirrored about the interface
-    sides = np.array([[fp[k : k + n + 1] for k in range(5)],
-                      [fm[k : k + n + 1] for k in range(5, 0, -1)]])
-    plus, minus = _wenoz(tuple(sides[:, m] for m in range(5)))[0]
-    fhat = plus + minus
+    # windows[side, k] holds f+ (side 0) or f- (side 1) at the cells k .. k + n:
+    # interface x_{i-1/2}, i = 0 .. n, reads f+ at i .. i + 4, f- at i + 5 .. i + 1
+    windows = sliding_window_view(np.stack(split_flux(u_ext, flux_fn, lam)), n + 1, axis=1)
+    fhat = _wenoz(np.concatenate((windows[0, :5], windows[1, 5:0:-1]), axis=1))[0]
+    fhat = fhat[: n + 1] + fhat[n + 1 :]
     return (fhat[1:] - fhat[:-1]) * (1.0 / dx)
 
 
@@ -306,11 +298,8 @@ def discontinuity_flags(u: GridField) -> DiscontinuityMask:
     n = f.shape[0]
     if n < 8:
         raise ValueError(f"indicator needs at least 8 points, got {n}")
-    m = n - 5  # points j = 2 .. n-4
-    s = tuple(f[k : k + m] for k in range(6))  # offsets j-2 .. j+3
-    b0, b1, b2 = smoothness_indicators(s[:5])
-    b3 = beta3(s[3:6])
-    gamma = (np.stack([b0, b1, b2, b3]) + DELTA) ** (-float(POWER))
+    s = np.array([f[k : k + n - 5] for k in range(6)])  # points j = 2 .. n-4, offsets j-2 .. j+3
+    gamma = (np.vstack((_indicators(s)[0], beta3(s[3:6]))) + DELTA) ** (-float(POWER))
     chi = gamma / gamma.sum(axis=0)
     flags = np.zeros(n, dtype=np.int64)
     flags[2 : n - 3] = ~np.all(chi > THRESHOLD, axis=0)

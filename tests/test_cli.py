@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,19 +253,64 @@ class TestSweep:
         assert lines[0] == "q,dt,nu,rel_error,iterations,converged,error"
         assert len(lines) == 3  # header + 2 cells
 
-    def test_cell_failure_recorded_in_row(self, tmp_path):
+    def test_cell_failure_recorded_in_row(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         out = tmp_path / "sweepfail"
-        # dt = 0.4 does not divide t_final = 0.5: the cell fails, sweep survives
+
+        def failing_march(*args, **kwargs):
+            raise RuntimeError("the cell's march failed")
+
+        # the march fails inside the cell, and the sweep survives
+        monkeypatch.setattr(cli, "march", failing_march)
         code = cli.main(
             ["sweep", "--config", str(path), "--out", str(out),
-             "--q", "1", "--dt", "0.4", "--nu", "0.0"]
+             "--q", "1", "--dt", "0.5", "--nu", "0.0"]
         )
         assert code == 0
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[3] == ""  # no rel_error
         assert row[5] == "false"
-        assert row[6] != ""
+        assert row[6] == "the cell's march failed"
+
+    def test_printed_lines_of_a_failed_and_a_finished_cell(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def march(pde, disc, *args, t_final, **kwargs):
+            if disc.dt == 0.25:
+                raise RuntimeError("diverged (step 1)")
+            return SimpleNamespace(errors={t_final: 0.125}, diagnostics=[])
+
+        monkeypatch.setattr(cli, "march", march)
+        out = tmp_path / "s"
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--q", "1", "--dt", "0.1", "0.25", "--nu", "0.0"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "q=1 dt=0.1 nu=0.0: rel_error=0.125",
+            "q=1 dt=0.25 nu=0.0: rel_error=FAILED (diverged (step 1))",
+        ]
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:4] for row in rows] == [["1", "0.1", "0.0", "0.125"],
+                                             ["1", "0.25", "0.0", ""]]
+
+    def test_dt_that_does_not_divide_t_final_exits_2(self, tmp_path, monkeypatch, capsys):
+        def march(*args, **kwargs):
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setattr(cli, "march", march)
+        out = tmp_path / "s"
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--q", "1", "--dt", "0.25", "0.4", "0.3", "0", "--nu", "0.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --dt:")
+        assert "0.4, 0.3, 0.0 does not divide t_final=0.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset,code", [("inviscid", 2), ("viscous", 2), ("sweep", 0)])
+    def test_default_dts_against_the_shipped_presets(self, tmp_path, serial_pool, preset, code):
+        # t_final = 1.0 is not a multiple of 0.3 or 0.6; the sweep preset's 0.6 is
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{preset}.yaml"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == code
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         path = write_config(tmp_path)

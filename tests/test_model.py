@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -18,6 +20,7 @@ from hpinn.model import (
     TrainingDivergedError,
     build_loss_graph,
     march,
+    step_count,
     step_state,
     train_step,
 )
@@ -305,6 +308,24 @@ class TestLossNode:
         for g, w in zip(grads, want):
             np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-13 * np.max(np.abs(w)))
 
+    @pytest.mark.parametrize("flagged", ["none", "dilated"])
+    def test_a_dropped_graph_goes_without_the_cycle_collector(self, flagged):
+        # no node may reach itself through its own closures, or every
+        # finished step's graph would wait for the cyclic collector
+        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 4, flagged)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph, losses, stages = build_loss_graph(params, state, tab, pde, disc)
+            graph.backward()
+            graph.refresh()
+            refs = [weakref.ref(losses[0]), weakref.ref(stages)]
+            del graph, losses, stages
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_train_step_reads_the_last_stage_row(self):
         params, state, tab, pde, disc = self.case(0.0, 2, "dilated")
         config = TrainingConfig(max_iterations=3, loss_tolerance=1e-300)
@@ -574,6 +595,12 @@ class TestMarch:
         pde, disc, net, training = self.tiny_setup(dt=0.3)
         with pytest.raises(ValueError):
             march(pde, disc, net, training, t_final=0.5)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.25, float("nan"), float("inf")])
+    def test_degenerate_step_is_a_value_error(self, dt):
+        # 0.0 was a ZeroDivisionError, which callers that catch ValueError miss
+        with pytest.raises(ValueError, match="is not a multiple of dt"):
+            step_count(0.5, dt)
 
     def test_eval_times_must_hit_steps(self):
         pde, disc, net, training = self.tiny_setup()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,15 +19,24 @@ from hpinn.weno import (
     GridField,
     SparseWenoZ,
     _wenoz,
+    _wenoz_vjp,
     beta3,
-    candidate_fluxes,
     dilate_mask,
     discontinuity_flags,
-    smoothness_indicators,
     split_flux,
     weno_derivative,
 )
-from weno_oracle import masks, reconstruct_interface_flux, weno_flux_divergence, wenoz_weights
+import weno_oracle as oracle
+from weno_oracle import (
+    candidate_fluxes,
+    masks,
+    reconstruct_interface_flux,
+    smoothness_indicators,
+    weno_flux_divergence,
+    wenoz_weights,
+)
+
+SHOCK_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "shock_reference.npz"
 
 BURGERS_FLUX = lambda u: 0.5 * u * u
 
@@ -95,7 +106,7 @@ class TestStencilKernels:
 
 
 def stencils(max_interfaces=6, scales=st.integers(-8, 8).map(lambda e: 10.0 ** e)):
-    """Five stencil rows over up to `max_interfaces` interfaces.
+    """A (5, M) stencil array over M <= `max_interfaces` interfaces.
 
     Each interface's stencil is random, constant (all beta zero), linear
     (equal beta) or a jump (widely spread beta), times a scale drawn from
@@ -110,7 +121,11 @@ def stencils(max_interfaces=6, scales=st.integers(-8, 8).map(lambda e: 10.0 ** e
     column = st.tuples(st.one_of(random, constant, linear, jump), scales).map(
         lambda c: c[0] * c[1])
     return st.lists(column, min_size=1, max_size=max_interfaces).map(
-        lambda cols: tuple(np.stack(cols, axis=1)))
+        lambda cols: np.stack(cols, axis=1))
+
+
+# 0 and every power of ten from 1e-150 to 1e150
+all_scales = st.one_of(st.just(0.0), st.integers(-150, 150).map(lambda e: 10.0 ** e))
 
 
 class TestWenoZKernel:
@@ -119,14 +134,13 @@ class TestWenoZKernel:
     @settings(max_examples=200, deadline=None)
     @given(s=stencils())
     def test_flux_and_weights_match_oracle_bit_for_bit(self, s):
-        fhat, _, _, w, *_ = _wenoz(s)
+        fhat, _, w, *_ = _wenoz(s)
         assert np.array_equal(fhat, reconstruct_interface_flux(s))
         for got, want in zip(w, wenoz_weights(smoothness_indicators(s))):
             assert np.array_equal(got, want)
 
     @settings(max_examples=300, deadline=None)
-    @given(s=stencils(scales=st.one_of(
-        st.just(0.0), st.integers(-150, 150).map(lambda e: 10.0 ** e))))
+    @given(s=stencils(scales=all_scales))
     def test_no_divisor_can_vanish(self, s):
         # why the kernel needs no divisor guard: each beta_k is a sum of
         # squares, so beta_k + EPS >= EPS, and each alpha_k >= d_k, so the
@@ -134,10 +148,24 @@ class TestWenoZKernel:
         # (tau5 / (beta_k + EPS))**2 overflows to inf: an overflow, not a
         # vanishing divisor.
         with np.errstate(over="ignore", invalid="ignore"):
-            *_, asum, dens, _, _ = _wenoz(s)
+            _, _, _, asum, dens, *_ = _wenoz(s)
         for den in dens:
             assert np.all(den >= EPS)
         assert np.all(asum >= 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.one_of(stencils(), stencils(scales=all_scales)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flux_and_gradient_match_tuple_kernel_bit_for_bit(self, s, seed):
+        # every scale, the overflowing ones too: both kernels then give the
+        # same NaNs
+        g = np.random.default_rng(seed).normal(size=s.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tape, want = _wenoz(s), oracle._wenoz(tuple(s))
+            grad, want_grad = _wenoz_vjp(g, tape), np.stack(oracle._wenoz_vjp(g, want))
+        assert np.array_equal(tape[0], want[0], equal_nan=True)
+        assert grad.shape == s.shape
+        assert np.array_equal(grad, want_grad, equal_nan=True)
 
 
 class TestFluxSplit:
@@ -261,6 +289,23 @@ class TestSparseWenoZ:
         fd = (-along(2 * h) + 8 * along(h) - 8 * along(-h) + along(-2 * h)) / (12 * h)
         assert np.sum(grad * direction) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([1, 2, 11, 51]), flags=masks(N),
+           walls=st.tuples(st.integers(0, 2), st.integers(N - 3, N - 1)),
+           seed=st.integers(0, 2**32 - 1), boundary_value=st.floats(-1.0, 1.0))
+    def test_value_and_vjp_match_tuple_branch_bit_for_bit(self, rows, flags, walls, seed,
+                                                          boundary_value):
+        # a point within 3 cells of a wall reads its ghost cells: flag one at each wall
+        flags = flags.copy()
+        flags[list(walls)] = 1
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-2.0, 2.0, size=(rows, self.N))
+        cotangent = rng.normal(size=(rows, int(flags.sum())))
+        op, want = self.op(flags, boundary_value), oracle.SparseWenoZ(
+            flags, BURGERS_FLUX, lambda u: u, self.LAM, self.DX, boundary_value)
+        assert np.array_equal(op(u), want(u))
+        assert np.array_equal(op.vjp(cotangent), want.vjp(cotangent))
+
     def test_no_flagged_point(self):
         op = self.op(np.zeros(self.N, dtype=np.int64))
         u = np.ones((2, self.N))
@@ -310,6 +355,15 @@ class TestIndicator:
         step = np.where(self.x < 0, -1.0, 1.0)
         mask = discontinuity_flags(self.field(step))
         assert set(np.unique(mask.flags)) <= {0, 1}
+
+    def test_benchmark_inputs_flag_as_the_tuple_formulas_do(self):
+        # all 22 snapshots of the frozen benchmark inputs, inviscid and viscous
+        data = np.load(SHOCK_REFERENCE)
+        snapshots = np.concatenate((data["inviscid"], data["viscous"]))
+        assert len(snapshots) == 22
+        for values in snapshots:
+            got = discontinuity_flags(GridField(values, float(data["x0"]), float(data["dx"])))
+            assert np.array_equal(got.flags, oracle.indicator_flags(values))
 
     def test_needs_eight_points(self):
         with pytest.raises(ValueError):
