@@ -6,15 +6,15 @@ produced it.  Graphs are built eagerly through operator overloading, can be
 re-evaluated in place after leaf mutation (``Graph.refresh``), and are
 differentiated by a single reverse sweep (``Graph.backward``).
 
-Every op is a forward function of its parents' data plus its
-vector-Jacobian product (VJP), and ``fused`` is the one constructor that
-turns such a pair into a graph node.  A step's training loss has
-hidden_layers + 2 op nodes: one per network layer, mapping the stacked
-(u, u_x, u_xx) jet (see ``Jet``), and one for everything after the last layer
-(``model.loss_node``).  The operator overloads, ``slot`` and ``summation``
-serve expressions built on those nodes; the generic ops the loss was once
-composed of (tanh, slicing, matmul, mean) live in the tests' oracle,
-``tests/loss_oracle.py``.
+Every op node holds two functions of its parents' data: its ``forward`` and
+its vector-Jacobian product (``vjp``); ``fused`` is the one constructor that
+builds such a node.  ``Graph.refresh`` and ``Graph.backward`` are the only
+code that calls them.  A step's training loss has hidden_layers + 2 op
+nodes: one per network layer, mapping the stacked (u, u_x, u_xx) jet (see
+``Jet``), and one for everything after the last layer (``model.loss_node``).
+The operator overloads, ``slot`` and ``summation`` serve expressions built on
+those nodes; the generic ops the loss was once composed of (tanh, slicing,
+matmul, mean) live in the tests' oracle, ``tests/loss_oracle.py``.
 
 All arithmetic is 64-bit; second-derivative graphs amplify roundoff and
 single precision is not sufficient for loss thresholds near 1e-5.
@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 __all__ = [
-    "EvaluationError",
     "Value",
     "Graph",
     "Jet",
@@ -35,15 +34,6 @@ __all__ = [
     "summation",
     "fused",
 ]
-
-# Denominators smaller than this raise instead of producing infinities.
-# WENO weight formulas add eps before dividing, so this path is never hot.
-DIV_GUARD = 1e-300
-
-
-class EvaluationError(RuntimeError):
-    """Near-zero divisor during evaluation."""
-
 
 def _const(other):
     """Coerce a non-Value operand to a float64 constant (scalar or array)."""
@@ -69,19 +59,19 @@ class Value:
     """One node of the computation graph.
 
     ``data`` is a float64 scalar (0-d) or an ndarray of independent scalar
-    evaluations.  Leaves have no parents; their ``data`` may be mutated
-    between ``Graph.refresh`` calls.
+    evaluations.  Leaves have no parents, and no ``forward`` or ``vjp``;
+    their ``data`` may be mutated between ``Graph.refresh`` calls.
     """
 
-    __slots__ = ("data", "grad", "parents", "label", "_fwd", "_bwd", "__weakref__")
+    __slots__ = ("data", "grad", "parents", "label", "forward", "vjp", "__weakref__")
 
-    def __init__(self, data, parents=(), label="leaf"):
+    def __init__(self, data, parents=(), label="leaf", forward=None, vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = 0.0
         self.parents = parents
         self.label = label
-        self._fwd = None
-        self._bwd = None
+        self.forward = forward
+        self.vjp = vjp
 
     def __repr__(self):
         return f"Value({self.label}, shape={np.shape(self.data)})"
@@ -134,7 +124,7 @@ class Value:
 
     def __truediv__(self, other):
         if isinstance(other, Value):
-            return fused((self, other), _div, lambda g, y, a, b: (g / b, -g * y / b), "div")
+            return fused((self, other), np.divide, lambda g, y, a, b: (g / b, -g * y / b), "div")
         return self * (1.0 / _const(other))
 
     def __pow__(self, p):
@@ -151,68 +141,14 @@ def fused(parents, forward, vjp, label: str) -> Value:
     ``forward(*parent data)`` gives the node's data, at build and on every
     refresh.  ``vjp(grad, data, *parent data)`` returns one gradient per
     parent, in order, for the node's own ``data`` from the last ``forward``.
-    Every op has one to three parents; each arity gets its own closure pair
-    so that no node pays for argument packing.  They take the node as an
-    argument rather than capture it, so that no node sits in a reference
-    cycle: a dropped graph goes at once, not at the next cyclic collection.
 
-    A returned gradient passes to its parent without a copy when it is a
-    fresh array: not the node's own ``grad``, not a view (``base is None``)
-    and not returned twice by the same call.  The parent then adds later
-    gradients into it in place, so a VJP must not keep or reuse an array it
-    returns.
+    ``Graph.backward`` passes a returned gradient to its parent without a
+    copy when it is a fresh array: not the node's own ``grad``, not a view
+    (``base is None``) and not returned twice by the same call.  The parent
+    then adds later gradients into it in place, so a VJP must not keep or
+    reuse an array it returns.
     """
-    parents = tuple(parents)
-    out = Value(forward(*(p.data for p in parents)), parents, label)
-    if len(parents) == 1:
-        (a,) = parents
-
-        def fwd(out):
-            out.data = forward(a.data)
-
-        def bwd(out):
-            g = out.grad
-            (ga,) = vjp(g, out.data, a.data)
-            a._acc(ga, ga is g)
-
-    elif len(parents) == 2:
-        a, b = parents
-
-        def fwd(out):
-            out.data = forward(a.data, b.data)
-
-        def bwd(out):
-            g = out.grad
-            ga, gb = vjp(g, out.data, a.data, b.data)
-            twice = ga is gb
-            a._acc(ga, twice or ga is g)
-            b._acc(gb, twice or gb is g)
-
-    else:
-        a, b, c = parents
-
-        def fwd(out):
-            out.data = forward(a.data, b.data, c.data)
-
-        def bwd(out):
-            g = out.grad
-            ga, gb, gc = vjp(g, out.data, a.data, b.data, c.data)
-            a._acc(ga, ga is g or ga is gb or ga is gc)
-            b._acc(gb, gb is g or gb is ga or gb is gc)
-            c._acc(gc, gc is g or gc is ga or gc is gb)
-
-    out._fwd, out._bwd = fwd, bwd
-    return out
-
-
-def _check_divisor(d, label):
-    if np.abs(d).min() < DIV_GUARD:
-        raise EvaluationError(f"near-zero divisor in node '{label}'")
-
-
-def _div(a, b):
-    _check_divisor(b, "div")
-    return a / b
+    return Value(forward(*(p.data for p in parents)), tuple(parents), label, forward, vjp)
 
 
 # -- structural operations --------------------------------------------------
@@ -270,9 +206,8 @@ class Graph:
 
     def refresh(self):
         for n in self.nodes:
-            f = n._fwd
-            if f is not None:
-                f(n)
+            if n.parents:
+                n.data = n.forward(*[p.data for p in n.parents])
         return self.root.data
 
     def backward(self):
@@ -282,9 +217,12 @@ class Graph:
             n.grad = 0.0
         self.root.grad = np.ones_like(self.root.data)
         for n in reversed(self.nodes):
-            b = n._bwd
-            if b is not None:
-                b(n)
+            if n.parents:
+                g = n.grad
+                grads = n.vjp(g, n.data, *[p.data for p in n.parents])
+                ids = [id(gp) for gp in grads]
+                for p, gp in zip(n.parents, grads):
+                    p._acc(gp, gp is g or ids.count(id(gp)) > 1)
 
 
 class Jet(NamedTuple):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .irk import check_stage_count
+from .irk import MAX_STAGES, check_stage_count
 from .model import Discretization, TrainingConfig, TrainingDivergedError, march, step_count
 from .network import NetworkConfig
 from .pde import PdeSpec, burgers
@@ -265,18 +265,7 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
     log_records = [{"config": exp.resolved, "mode": column}]
 
     def on_step(diag):
-        rec = {
-            "step": diag.step,
-            "t_start": diag.t_start,
-            "iterations": diag.iterations,
-            "final_loss": diag.final_loss,
-            "loss_pde": diag.loss_pde,
-            "loss_bc": diag.loss_bc,
-            "flagged_cells": diag.flagged_cells,
-            "converged": diag.converged,
-            "wall_time": diag.wall_time,
-        }
-        log_records.append(rec)
+        log_records.append(dataclasses.asdict(diag))
         print(
             f"step {diag.step}: iterations={diag.iterations} loss={diag.final_loss:.3e} "
             f"flagged={diag.flagged_cells} converged={diag.converged}",
@@ -375,15 +364,28 @@ def _sweep_cell(args):
         }
 
 
-def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: int) -> int:
-    bad = []  # every swept dt must divide t_final, checked before any cell runs
-    for dt in dts:
+def _check_swept(flag, values, check, reason):
+    """Raise a ConfigError naming `flag` and every value `check` rejects.
+
+    The package's own checks decide, so a value no cell could run is
+    reported before any cell runs.
+    """
+    bad = []
+    for value in values:
         try:
-            step_count(exp.t_final, dt)
+            check(value)
         except ValueError:
-            bad.append(_fmt(dt))
+            bad.append(repr(value))
     if bad:
-        raise ConfigError(f"--dt: {', '.join(bad)} does not divide t_final={_fmt(exp.t_final)}")
+        raise ConfigError(f"{flag}: {', '.join(bad)} {reason}")
+
+
+def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: int) -> int:
+    _check_swept("--q", qs, check_stage_count, f"is not a stage count in [1, {MAX_STAGES}]")
+    _check_swept("--dt", dts, lambda dt: step_count(exp.t_final, dt),
+                 f"does not divide t_final={_fmt(exp.t_final)}")
+    _check_swept("--nu", nus, lambda nu: dataclasses.replace(exp.pde, viscosity=nu),
+                 "is not a nonnegative viscosity")
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     cells = [
         (str(config_path), str(exp.out_dir), base_seed, q, dt, nu)

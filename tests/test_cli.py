@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 import yaml
 
 from hpinn import cli
-from hpinn.model import TrainingDivergedError
+from hpinn.model import StepDiagnostics, TrainingDivergedError
 
 TINY = {
     "pde": {"viscosity": 0.0},
@@ -187,6 +189,17 @@ class TestRun:
         assert first["config"]["discretization"]["n_points"] == 48
         assert first["config"]["training"]["learning_rate"] == pytest.approx(1e-4)
 
+    def test_step_records_carry_every_step_diagnostic(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "diagnostics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        steps = [rec for rec in records if "step" in rec]
+        assert steps
+        fields = [f.name for f in dataclasses.fields(StepDiagnostics)]
+        assert all(list(rec) == fields for rec in steps)
+
     def test_seed_override_changes_profiles(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "s0", tmp_path / "s1"
@@ -292,18 +305,25 @@ class TestSweep:
         assert [row[:4] for row in rows] == [["1", "0.1", "0.0", "0.125"],
                                              ["1", "0.25", "0.0", ""]]
 
-    def test_dt_that_does_not_divide_t_final_exits_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("swept,message", [
+        (["--q", "1", "--dt", "0.25", "0.4", "0.3", "0", "--nu", "0.0"],
+         "--dt: 0.4, 0.3, 0.0 does not divide t_final=0.5"),
+        (["--q", "0", "1", "101", "--dt", "0.25", "--nu", "0.0"],
+         "--q: 0, 101 is not a stage count in [1, 100]"),
+        (["--q", "1", "--dt", "0.25", "--nu", "0.0", "-0.1", "-0.01"],
+         "--nu: -0.1, -0.01 is not a nonnegative viscosity"),
+    ], ids=["dt", "q", "nu"])
+    def test_rejected_swept_values_exit_2(self, tmp_path, monkeypatch, capsys, swept,
+                                          message):
         def march(*args, **kwargs):
             raise AssertionError("no cell may run")
 
         monkeypatch.setattr(cli, "march", march)
         out = tmp_path / "s"
         code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
-                         "--q", "1", "--dt", "0.25", "0.4", "0.3", "0", "--nu", "0.0"])
+                         *swept])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --dt:")
-        assert "0.4, 0.3, 0.0 does not divide t_final=0.5" in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("preset,code", [("inviscid", 2), ("viscous", 2), ("sweep", 0)])
