@@ -4,7 +4,6 @@ in smooth regions and WENO-Z convection in flagged cells, plus a classical
 WENO-Z reference solver and an experiment CLI.
 """
 
-from .autodiff import Graph, Jet, Value
 from .irk import ButcherTableau, gauss_legendre_tableau, verify_order_conditions
 from .model import (
     Adam,
@@ -17,7 +16,7 @@ from .model import (
     march,
     train_step,
 )
-from .network import NetworkConfig, NetworkParameters, forward_stages, init_xavier
+from .network import NetworkConfig, NetworkParameters, init_xavier
 from .pde import PdeSpec, burgers
 from .refsolver import SolverConfig, relative_error, solve
 from .weno import (

@@ -57,31 +57,23 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"),
 )
 
+# Each setting's default is its type's own; only the outputs have no type.
+_PDE, _DISC, _NET, _TRAIN = burgers(), Discretization(), NetworkConfig(), TrainingConfig()
+_REF = SolverConfig(_PDE)
 _DEFAULTS = {
-    "pde": {
-        "viscosity": 0.0,
-        "domain": [-1.0, 1.0],
-        "boundary_value": 0.0,
-    },
-    "discretization": {
-        "n_points": 300,
-        "dt": 0.1,
-        "q_stages": 10,
-    },
-    "network": {"layers": 5, "width": 20, "seed": 0},
+    "pde": {"viscosity": _PDE.viscosity, "domain": list(_PDE.domain),
+            "boundary_value": _PDE.boundary_value},
+    "discretization": {"n_points": _DISC.n_points, "dt": _DISC.dt, "q_stages": _DISC.q_stages},
+    "network": {"layers": _NET.hidden_layers, "width": _NET.width, "seed": _NET.seed},
     "training": {
-        "learning_rate": 1e-4,
-        "tolerance": 1e-5,
-        "max_iterations": 200_000,
-        "warm_start": True,
-        "loss_reduction": "mean",
+        "learning_rate": _TRAIN.learning_rate,
+        "tolerance": _TRAIN.loss_tolerance,
+        "max_iterations": _TRAIN.max_iterations,
+        "warm_start": _TRAIN.warm_start,
+        "loss_reduction": _TRAIN.loss_reduction,
     },
-    "reference": {"n_cells": 1000, "cfl": 0.4},
-    "outputs": {
-        "t_final": 0.6,
-        "profile_times": [0.6],
-        "directory": "out",
-    },
+    "reference": {"n_cells": _REF.n_cells, "cfl": _REF.cfl},
+    "outputs": {"t_final": 0.6, "profile_times": [0.6], "directory": "out"},
 }
 
 
@@ -104,24 +96,25 @@ def _merge(defaults, given, path=""):
     return out
 
 
-def _number(node, path, positive=False):
+def _number(node, path):
+    """A finite number; the range is for the type that takes it to check."""
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {node!r}")
-    if positive and node <= 0:
-        raise ConfigError(f"{path}: must be positive, got {node!r}")
+    if not abs(node) <= sys.float_info.max:  # exact for ints of any size
+        raise ConfigError(f"{path}: expected a finite number, got {node!r}")
     return float(node)
 
 
-def _need_number(cfg, path, positive=False):
+def _need_number(cfg, path):
     node = cfg
     for part in path.split("."):
         node = node[part]
-    return _number(node, path, positive)
+    return _number(node, path)
 
 
-def _need_int(cfg, path, positive=False):
+def _need_int(cfg, path):
     """An integral number, which YAML may also write as 2.0e5."""
-    value = _need_number(cfg, path, positive)
+    value = _need_number(cfg, path)
     if not value.is_integer():
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return int(value)
@@ -145,8 +138,7 @@ class Experiment:
     disc: Discretization
     network: NetworkConfig
     training: TrainingConfig
-    ref_n_cells: int
-    ref_cfl: float
+    reference: SolverConfig  # its n_cells and cfl; march and cmd_reference set the rest
     t_final: float
     profile_times: tuple
     out_dir: Path
@@ -166,45 +158,43 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     domain = cfg["pde"]["domain"]
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError("pde.domain: expected [left, right]")
-    domain = tuple(_number(end, "pde.domain") for end in domain)
-    nu = _need_number(cfg, "pde.viscosity")
-    bval = _need_number(cfg, "pde.boundary_value")
-    pde = _checked("pde", lambda: dataclasses.replace(
-        burgers(nu), domain=domain, boundary_value=bval))
-
-    disc = Discretization(
-        n_points=_need_int(cfg, "discretization.n_points", positive=True),
-        dt=_need_number(cfg, "discretization.dt", positive=True),
-        q_stages=_need_int(cfg, "discretization.q_stages", positive=True),
+    pde = _checked(
+        "pde", dataclasses.replace, _PDE,
+        domain=tuple(_number(end, "pde.domain") for end in domain),
+        viscosity=_need_number(cfg, "pde.viscosity"),
+        boundary_value=_need_number(cfg, "pde.boundary_value"),
     )
-    if disc.n_points < 8:
-        raise ConfigError("discretization.n_points: need at least 8 points")
+
+    disc = _checked(
+        "discretization", Discretization,
+        n_points=_need_int(cfg, "discretization.n_points"),
+        dt=_need_number(cfg, "discretization.dt"),
+        q_stages=_need_int(cfg, "discretization.q_stages"),
+    )
     _checked("discretization.q_stages", check_stage_count, disc.q_stages)
 
     seed = _need_int(cfg, "network.seed") if seed_override is None else int(seed_override)
     cfg["network"]["seed"] = seed
     network = _checked(
         "network", NetworkConfig,
-        hidden_layers=_need_int(cfg, "network.layers", positive=True),
-        width=_need_int(cfg, "network.width", positive=True),
+        hidden_layers=_need_int(cfg, "network.layers"),
+        width=_need_int(cfg, "network.width"),
         outputs=disc.q_stages + 1,
         seed=seed,
     )
 
-    reduction = cfg["training"]["loss_reduction"]
-    if reduction not in ("mean", "sum"):
-        raise ConfigError("training.loss_reduction: expected 'mean' or 'sum'")
     if not isinstance(cfg["training"]["warm_start"], bool):
         raise ConfigError("training.warm_start: expected true/false")
-    training = TrainingConfig(
-        learning_rate=_need_number(cfg, "training.learning_rate", positive=True),
-        loss_tolerance=_need_number(cfg, "training.tolerance", positive=True),
-        max_iterations=_need_int(cfg, "training.max_iterations", positive=True),
+    training = _checked(
+        "training", TrainingConfig,
+        learning_rate=_need_number(cfg, "training.learning_rate"),
+        loss_tolerance=_need_number(cfg, "training.tolerance"),
+        max_iterations=_need_int(cfg, "training.max_iterations"),
         warm_start=cfg["training"]["warm_start"],
-        loss_reduction=reduction,
+        loss_reduction=cfg["training"]["loss_reduction"],
     )
 
-    t_final = _need_number(cfg, "outputs.t_final", positive=True)
+    t_final = _need_number(cfg, "outputs.t_final")
     times = cfg["outputs"]["profile_times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("outputs.profile_times: expected a nonempty list")
@@ -212,9 +202,10 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     _checked("outputs.t_final", step_count, t_final, disc.dt)
     _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
-    ref_n_cells = _need_int(cfg, "reference.n_cells", positive=True)
-    ref_cfl = _need_number(cfg, "reference.cfl", positive=True)
-    _checked("reference", SolverConfig, pde=pde, n_cells=ref_n_cells, cfl=ref_cfl)
+    reference = _checked(
+        "reference", SolverConfig, pde=pde,
+        n_cells=_need_int(cfg, "reference.n_cells"), cfl=_need_number(cfg, "reference.cfl"),
+    )
 
     out_dir = Path(out_override) if out_override is not None else Path(cfg["outputs"]["directory"])
     cfg["outputs"]["directory"] = str(out_dir)
@@ -223,8 +214,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         disc=disc,
         network=network,
         training=training,
-        ref_n_cells=ref_n_cells,
-        ref_cfl=ref_cfl,
+        reference=reference,
         t_final=t_final,
         profile_times=profile_times,
         out_dir=out_dir,
@@ -275,7 +265,7 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
     result = march(
         exp.pde, disc, exp.network, exp.training,
         t_final=exp.t_final, eval_times=exp.profile_times,
-        ref_n_cells=exp.ref_n_cells, ref_cfl=exp.ref_cfl, on_step=on_step,
+        reference=exp.reference, on_step=on_step,
     )
 
     for t in exp.profile_times:
@@ -314,11 +304,8 @@ def cmd_baseline(exp: Experiment) -> int:
 def cmd_reference(exp: Experiment) -> int:
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     times = tuple(t for t in exp.profile_times if t > 0.0)
-    config = SolverConfig(
-        pde=exp.pde, n_cells=exp.ref_n_cells, cfl=exp.ref_cfl,
-        t_final=exp.t_final, snapshot_times=times,
-    )
-    got_times, fields = solve(config)
+    got_times, fields = solve(
+        dataclasses.replace(exp.reference, t_final=exp.t_final, snapshot_times=times))
     for t, f in zip(got_times, fields):
         rows = [(_fmt(xi), _fmt(ui)) for xi, ui in zip(f.x, f.values)]
         _atomic_write(exp.out_dir / _profile_name("reference", t), _csv(rows, ("x", "u")))
@@ -332,20 +319,15 @@ def _cell_seed(base: int, q: int, dt: float, nu: float) -> int:
 
 
 def _sweep_cell(args):
-    """One (q, dt, nu) cell; returns a row dict (picklable for --jobs)."""
-    config_path, out_dir, base_seed, q, dt, nu = args
+    """One (q, dt, nu) cell of the loaded experiment; cell and row pickle for --jobs."""
+    exp, q, dt, nu = args
     try:
-        exp = load_config(config_path, out_override=out_dir)
-        cell_seed = _cell_seed(base_seed, q, dt, nu)
-        pde = dataclasses.replace(exp.pde, viscosity=nu)
-        disc = dataclasses.replace(exp.disc, dt=dt, q_stages=q)
-        net = NetworkConfig(
-            hidden_layers=exp.network.hidden_layers, width=exp.network.width,
-            outputs=q + 1, seed=cell_seed,
-        )
         result = march(
-            pde, disc, net, exp.training, t_final=exp.t_final,
-            eval_times=(exp.t_final,), ref_n_cells=exp.ref_n_cells, ref_cfl=exp.ref_cfl,
+            dataclasses.replace(exp.pde, viscosity=nu),
+            dataclasses.replace(exp.disc, dt=dt, q_stages=q),
+            dataclasses.replace(exp.network, seed=_cell_seed(exp.network.seed, q, dt, nu)),
+            exp.training, t_final=exp.t_final, eval_times=(exp.t_final,),
+            reference=exp.reference,
         )
         iterations = sum(d.iterations for d in result.diagnostics)
         converged = all(d.converged for d in result.diagnostics)
@@ -380,17 +362,14 @@ def _check_swept(flag, values, check, reason):
         raise ConfigError(f"{flag}: {', '.join(bad)} {reason}")
 
 
-def cmd_sweep(exp: Experiment, config_path, qs, dts, nus, jobs: int, base_seed: int) -> int:
+def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
     _check_swept("--q", qs, check_stage_count, f"is not a stage count in [1, {MAX_STAGES}]")
     _check_swept("--dt", dts, lambda dt: step_count(exp.t_final, dt),
                  f"does not divide t_final={_fmt(exp.t_final)}")
     _check_swept("--nu", nus, lambda nu: dataclasses.replace(exp.pde, viscosity=nu),
                  "is not a nonnegative viscosity")
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (str(config_path), str(exp.out_dir), base_seed, q, dt, nu)
-        for q in qs for dt in dts for nu in nus
-    ]
+    cells = [(exp, q, dt, nu) for q in qs for dt in dts for nu in nus]
     workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -453,8 +432,7 @@ def main(argv=None) -> int:
             return cmd_baseline(exp)
         if args.verb == "reference":
             return cmd_reference(exp)
-        seed = exp.network.seed if args.seed is None else args.seed
-        return cmd_sweep(exp, args.config, args.q, args.dt, args.nu, args.jobs, seed)
+        return cmd_sweep(exp, args.q, args.dt, args.nu, args.jobs)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

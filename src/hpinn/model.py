@@ -21,6 +21,7 @@ fixed and differentiable during the step; the mask is dilated
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -34,6 +35,7 @@ from .pde import PdeSpec
 from .refsolver import SolverConfig, relative_error, solve
 from .weno import (
     MASK_DILATION,
+    MIN_POINTS,
     DiscontinuityMask,
     GridField,
     SparseWenoZ,
@@ -82,6 +84,12 @@ class Discretization:
     q_stages: int = 10
     hybrid_enabled: bool = True  # False reproduces the plain discrete-time PINN
 
+    def __post_init__(self):
+        if self.n_points < MIN_POINTS:
+            raise ValueError(f"n_points must be at least {MIN_POINTS}, got {self.n_points}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -92,8 +100,10 @@ class TrainingConfig:
     loss_reduction: str = "mean"  # "mean" (stopping rule scale) or "sum" (raw)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.loss_tolerance <= 0:
-            raise ValueError("learning rate and tolerance must be positive")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.loss_tolerance < math.inf):
+            raise ValueError("learning rate and tolerance must be finite and positive")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.loss_reduction not in ("mean", "sum"):
             raise ValueError("loss_reduction must be 'mean' or 'sum'")
 
@@ -352,32 +362,27 @@ def step_count(t_final: float, dt: float, eval_times=()) -> int:
 
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
-          ref_n_cells: int = 1000, ref_cfl: float = 0.4,
+          reference: Optional[SolverConfig] = None,
           on_step: Optional[Callable] = None) -> MarchResult:
     """March from the exact initial condition to t_final, one trained step at
     a time, and report global relative errors against the reference solver.
 
     Every step re-freezes the mask and lam from the current data; by default
-    each step warm-starts from the previous step's trained parameters.
+    each step warm-starts from the previous step's trained parameters.  The
+    network gets q+1 outputs whatever `net_config.outputs` says.  `reference`
+    sets the solver's n_cells and cfl (SolverConfig's defaults when None); its
+    pde, t_final and snapshot times are this march's.
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
     eval_times = tuple(float(t) for t in eval_times)
     n_steps = step_count(t_final, disc.dt, eval_times)
 
-    if net_config.outputs != disc.q_stages + 1:
-        net_config = NetworkConfig(
-            hidden_layers=net_config.hidden_layers,
-            width=net_config.width,
-            outputs=disc.q_stages + 1,
-            seed=net_config.seed,
-        )
+    net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
-    x_left, x_right = pde.domain
-    dx = (x_right - x_left) / (disc.n_points - 1)
-    x = x_left + dx * np.arange(disc.n_points)
-    fields = [GridField(pde.initial(x), x_left, dx)]
+    x, dx = pde.grid(disc.n_points)
+    fields = [GridField(pde.initial(x), pde.domain[0], dx)]
     times = [0.0]
 
     params = init_xavier(net_config)
@@ -402,19 +407,18 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
         if on_step is not None:
             on_step(diag)
 
-    errors, reference = {}, {}
+    errors, ref_fields = {}, {}
     ref_times = [t for t in eval_times if t > 0.0]
     if ref_times:
-        ref_config = SolverConfig(
-            pde=pde, n_cells=ref_n_cells, cfl=ref_cfl,
+        _, snapshots = solve(replace(
+            reference or SolverConfig(pde), pde=pde,
             t_final=max(ref_times), snapshot_times=tuple(ref_times),
-        )
-        _, snapshots = solve(ref_config)
+        ))
         for t, ref_field in zip(ref_times, snapshots):
             k = int(round(t / disc.dt))
             errors[t] = relative_error(fields[k], ref_field)
-            reference[t] = ref_field
+            ref_fields[t] = ref_field
     return MarchResult(
         times=times, fields=fields, errors=errors,
-        reference=reference, diagnostics=diagnostics,
+        reference=ref_fields, diagnostics=diagnostics,
     )

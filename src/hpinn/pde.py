@@ -11,6 +11,7 @@ to autodiff graph nodes too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,23 +31,35 @@ class PdeSpec:
     initial: Optional[Callable] = None  # u(0, x)
 
     def __post_init__(self):
-        if self.viscosity < 0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.domain[1] <= self.domain[0]:
-            raise ValueError("domain must be a nonempty interval")
+        if not 0.0 <= self.viscosity < math.inf:
+            raise ValueError("viscosity must be finite and nonnegative")
+        if not -math.inf < self.domain[0] < self.domain[1] < math.inf:
+            raise ValueError("domain must be a nonempty interval with finite ends")
 
     def max_speed(self, u: np.ndarray) -> float:
         return float(np.max(np.abs(self.dflux(u))))
 
+    def grid(self, n: int):
+        """n points from one wall to the other, both walls included, and dx."""
+        x_left, x_right = self.domain
+        dx = (x_right - x_left) / (n - 1)
+        return x_left + dx * np.arange(n), dx
+
+
+# Burgers' functions are module-level, so its spec pickles.
+def _half_square(u):
+    return u * u * 0.5
+
+
+def _identity(u):
+    return u
+
+
+def _minus_sine(x):
+    return -np.sin(np.pi * x)
+
 
 def burgers(viscosity: float = 0.0) -> PdeSpec:
     """Burgers equation on [-1,1] with u(0,x) = -sin(pi x) and u(t,+-1) = 0."""
-    return PdeSpec(
-        flux=lambda u: u * u * 0.5,
-        dflux=lambda u: u,
-        viscosity=viscosity,
-        source=None,
-        domain=(-1.0, 1.0),
-        boundary_value=0.0,
-        initial=lambda x: -np.sin(np.pi * x),
-    )
+    return PdeSpec(flux=_half_square, dflux=_identity, viscosity=viscosity,
+                   initial=_minus_sine)

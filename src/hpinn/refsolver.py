@@ -4,8 +4,9 @@ TVD Runge-Kutta in time, explicit viscous term by central differences.
 The convection term is `weno.weno_derivative`, which runs the same WENO-Z
 kernel as the training loss's sparse branch, on every interface.  The
 stepping functions work on plain arrays of grid values plus the spacing `dx`;
-the grid is `SolverConfig.grid()` and both walls hold `pde.boundary_value`.  Generates the fine-grid solutions
-the hybrid model is measured against and provides the global relative error
+the grid is `PdeSpec.grid(n_cells)`, the one the training grid also uses, and
+both walls hold `pde.boundary_value`.  Generates the fine-grid solutions the
+hybrid model is measured against and provides the global relative error
 metric.
 """
 
@@ -53,9 +54,7 @@ class SolverConfig:
 
     def grid(self):
         """n_cells points from one wall to the other, both walls included."""
-        x_left, x_right = self.pde.domain
-        dx = (x_right - x_left) / (self.n_cells - 1)
-        return x_left + dx * np.arange(self.n_cells), dx
+        return self.pde.grid(self.n_cells)
 
 
 def _ghosts(u: np.ndarray, value: float) -> np.ndarray:

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 GHOST = 3  # stencil half-width: three ghost cells on each side
+MIN_POINTS = 8  # the fewest grid points the indicator, and so a training grid, takes
 
 
 @dataclass
@@ -296,8 +297,8 @@ def discontinuity_flags(u: GridField) -> DiscontinuityMask:
     """
     f = u.values
     n = f.shape[0]
-    if n < 8:
-        raise ValueError(f"indicator needs at least 8 points, got {n}")
+    if n < MIN_POINTS:
+        raise ValueError(f"indicator needs at least {MIN_POINTS} points, got {n}")
     s = np.array([f[k : k + n - 5] for k in range(6)])  # points j = 2 .. n-4, offsets j-2 .. j+3
     gamma = (np.vstack((_indicators(s)[0], beta3(s[3:6]))) + DELTA) ** (-float(POWER))
     chi = gamma / gamma.sum(axis=0)

@@ -11,7 +11,10 @@ import pytest
 import yaml
 
 from hpinn import cli
-from hpinn.model import StepDiagnostics, TrainingDivergedError
+from hpinn.model import Discretization, StepDiagnostics, TrainingConfig, TrainingDivergedError
+from hpinn.network import NetworkConfig
+from hpinn.pde import burgers
+from hpinn.refsolver import SolverConfig
 
 TINY = {
     "pde": {"viscosity": 0.0},
@@ -133,6 +136,30 @@ class TestConfigErrors:
         assert code == 2
         assert f"{where}: expected an integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,fields,where", [
+        ("training", {"tolerance": float("nan")}, "training.tolerance"),
+        ("pde", {"viscosity": float("nan")}, "pde.viscosity"),
+        ("training", {"learning_rate": float("inf")}, "training.learning_rate"),
+        ("pde", {"domain": [-1.0, float("inf")]}, "pde.domain"),
+        ("outputs", {"t_final": float("inf")}, "outputs.t_final"),
+    ])
+    def test_non_finite_number_names_path(self, tmp_path, capsys, section, fields, where):
+        path = write_config(tmp_path, {section: fields})  # written as .nan / .inf
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"config error: {where}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_file_takes_the_types_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        exp = cli.load_config(path)
+        assert exp.pde == burgers()
+        assert exp.disc == Discretization()
+        assert exp.network == NetworkConfig(outputs=11)
+        assert exp.training == TrainingConfig()
+        assert exp.reference == SolverConfig(burgers())
 
     def test_integral_float_settings_are_integers(self, tmp_path):
         path = tmp_path / "floats.yaml"
@@ -310,8 +337,8 @@ class TestSweep:
          "--dt: 0.4, 0.3, 0.0 does not divide t_final=0.5"),
         (["--q", "0", "1", "101", "--dt", "0.25", "--nu", "0.0"],
          "--q: 0, 101 is not a stage count in [1, 100]"),
-        (["--q", "1", "--dt", "0.25", "--nu", "0.0", "-0.1", "-0.01"],
-         "--nu: -0.1, -0.01 is not a nonnegative viscosity"),
+        (["--q", "1", "--dt", "0.25", "--nu", "0.0", "-0.1", "-0.01", "nan", "inf"],
+         "--nu: -0.1, -0.01, nan, inf is not a nonnegative viscosity"),
     ], ids=["dt", "q", "nu"])
     def test_rejected_swept_values_exit_2(self, tmp_path, monkeypatch, capsys, swept,
                                           message):
@@ -331,6 +358,27 @@ class TestSweep:
         # t_final = 1.0 is not a multiple of 0.3 or 0.6; the sweep preset's 0.6 is
         path = Path(__file__).resolve().parents[1] / "configs" / f"{preset}.yaml"
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == code
+
+    def test_config_is_read_once(self, tmp_path, monkeypatch):
+        # a config edited during a long sweep must not change its later cells
+        loads, load = [], cli.load_config
+
+        def counted_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        def march(*args, t_final, **kwargs):
+            return SimpleNamespace(errors={t_final: 0.125}, diagnostics=[])
+
+        monkeypatch.setattr(cli, "load_config", counted_load)
+        monkeypatch.setattr(cli, "march", march)
+        out = tmp_path / "s"
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--q", "1", "2", "--dt", "0.5", "0.25", "--nu", "0.0"])
+        assert code == 0
+        assert len(loads) == 1
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["0.125"] * 4
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         path = write_config(tmp_path)
@@ -361,7 +409,7 @@ class TestSweep:
                 return map(fn, cells)
 
         def stub_cell(cell):
-            _, _, _, q, dt, nu = cell
+            _, q, dt, nu = cell
             return {"q": q, "dt": dt, "nu": nu, "rel_error": "0.5", "iterations": "1",
                     "converged": "true", "error": ""}
 

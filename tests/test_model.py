@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import pickle
 import weakref
 from functools import partial
 
@@ -26,6 +27,7 @@ from hpinn.model import (
 )
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import PdeSpec, burgers
+from hpinn.refsolver import SolverConfig
 from hpinn.weno import DiscontinuityMask, GridField
 from loss_oracle import (
     compute_loss,
@@ -577,6 +579,30 @@ class TestTrainStep:
         assert err.value.parameter_norm is not None
 
 
+class TestSettingTypes:
+    @pytest.mark.parametrize("build", [
+        partial(Discretization, n_points=7),
+        partial(Discretization, dt=0.0),
+        partial(Discretization, dt=float("nan")),
+        partial(Discretization, dt=float("inf")),
+        partial(TrainingConfig, max_iterations=0),
+        partial(TrainingConfig, learning_rate=float("inf")),
+        partial(TrainingConfig, loss_tolerance=float("nan")),
+        partial(burgers, float("nan")),
+        partial(burgers, float("inf")),
+        partial(dataclasses.replace, burgers(), domain=(-1.0, float("inf"))),
+        partial(dataclasses.replace, burgers(), domain=(float("nan"), 1.0)),
+    ])
+    def test_out_of_range_value_is_a_value_error(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_burgers_spec_pickles(self):
+        # sweep cells under --jobs receive the loaded spec by pickle
+        pde = burgers(0.01)
+        assert pickle.loads(pickle.dumps(pde)) == pde
+
+
 class TestMarch:
     def tiny_setup(self, **kw):
         pde = burgers(0.0)
@@ -587,7 +613,7 @@ class TestMarch:
 
     def test_single_step_when_dt_equals_t_final(self):
         pde, disc, net, training = self.tiny_setup()
-        res = march(pde, disc, net, training, t_final=0.5, ref_n_cells=64)
+        res = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
         assert len(res.fields) == 2
         assert len(res.diagnostics) == 1
 
@@ -611,26 +637,28 @@ class TestMarch:
         runs = []
         for _ in range(2):
             pde, disc, net, training = self.tiny_setup()
-            res = march(pde, disc, net, training, t_final=0.5, ref_n_cells=64)
+            res = march(pde, disc, net, training, t_final=0.5,
+                        reference=SolverConfig(pde, n_cells=64))
             runs.append(res.fields[-1].values)
         assert np.array_equal(runs[0], runs[1])
 
     def test_seed_changes_trajectory(self):
         pde, disc, net, training = self.tiny_setup()
-        a = march(pde, disc, net, training, t_final=0.5, ref_n_cells=64)
+        a = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
         pde, disc, net, training = self.tiny_setup(seed=1)
-        b = march(pde, disc, net, training, t_final=0.5, ref_n_cells=64)
+        b = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
         assert not np.array_equal(a.fields[-1].values, b.fields[-1].values)
 
     def test_cold_start_mode_runs(self):
         pde, disc, net, training = self.tiny_setup(dt=0.25, warm_start=False)
-        res = march(pde, disc, net, training, t_final=0.5, ref_n_cells=64)
+        res = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
         assert len(res.diagnostics) == 2
 
     def test_errors_reported_at_eval_times(self):
         pde, disc, net, training = self.tiny_setup(dt=0.25)
         res = march(
-            pde, disc, net, training, t_final=0.5, eval_times=(0.25, 0.5), ref_n_cells=64
+            pde, disc, net, training, t_final=0.5, eval_times=(0.25, 0.5),
+            reference=SolverConfig(pde, n_cells=64),
         )
         assert set(res.errors) == {0.25, 0.5}
         assert all(np.isfinite(v) for v in res.errors.values())
