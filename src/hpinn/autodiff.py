@@ -80,20 +80,12 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    def _acc(self, g, borrowed):
-        # hot path: matching shapes accumulate in place.  The first gradient
-        # is adopted as this node's buffer when it is a fresh array nobody
-        # else holds; a borrowed one or a view is copied first (see `fused`).
+    def _acc(self, g):
+        # out of place: the first gradient is kept as is and each later one
+        # makes a new sum, so no array is written after it is handed on
         cur = self.grad
-        if isinstance(g, np.ndarray) and g.shape == self.data.shape:
-            if isinstance(cur, np.ndarray):
-                cur += g
-            elif cur == 0.0:
-                self.grad = g.copy() if borrowed or g.base is not None else g
-            else:
-                self.grad = cur + g
-        else:
-            self.grad = cur + _unbroadcast(g, self.data.shape)
+        g = _unbroadcast(g, self.data.shape)
+        self.grad = cur + g if isinstance(cur, np.ndarray) or cur != 0.0 else g
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -141,12 +133,6 @@ def fused(parents, forward, vjp, label: str) -> Value:
     ``forward(*parent data)`` gives the node's data, at build and on every
     refresh.  ``vjp(grad, data, *parent data)`` returns one gradient per
     parent, in order, for the node's own ``data`` from the last ``forward``.
-
-    ``Graph.backward`` passes a returned gradient to its parent without a
-    copy when it is a fresh array: not the node's own ``grad``, not a view
-    (``base is None``) and not returned twice by the same call.  The parent
-    then adds later gradients into it in place, so a VJP must not keep or
-    reuse an array it returns.
     """
     return Value(forward(*(p.data for p in parents)), tuple(parents), label, forward, vjp)
 
@@ -218,11 +204,9 @@ class Graph:
         self.root.grad = np.ones_like(self.root.data)
         for n in reversed(self.nodes):
             if n.parents:
-                g = n.grad
-                grads = n.vjp(g, n.data, *[p.data for p in n.parents])
-                ids = [id(gp) for gp in grads]
+                grads = n.vjp(n.grad, n.data, *[p.data for p in n.parents])
                 for p, gp in zip(n.parents, grads):
-                    p._acc(gp, gp is g or ids.count(id(gp)) > 1)
+                    p._acc(gp)
 
 
 class Jet(NamedTuple):

@@ -195,7 +195,7 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
               disc: Discretization, reduction: str = "mean"):
     """L = L_PDE + L_BC from the stacked stage jet, as one graph node.
 
-    The residual N_j = f(u_j)_x - nu u_j,xx - h of the first q stage rows takes
+    The residual N_j = f(u_j)_x - nu u_j,xx of the first q stage rows takes
     its convection from autodiff, f'(u) u_x, except at the flagged points,
     where the WENO-Z divided difference (`SparseWenoZ`) replaces it; the
     viscous term always comes from autodiff.  Folding the stages back through
@@ -209,13 +209,11 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
     that every refresh of `total` rewrites.  The VJP repeats the products and
     the order of summation of the node-per-op graph the tests keep as an
     oracle, so losses and gradients match it bit for bit; it forms no
-    gradient for the tableau, the data or the source.
+    gradient for the tableau or the data.
     """
     q, n = tableau.q, len(state.data)
     mix = np.vstack([tableau.a, tableau.b[None, :]]) * disc.dt
     data, nu, bv = state.data.values, pde.viscosity, pde.boundary_value
-    source = None if pde.source is None else np.stack(
-        [pde.source(state.data.x, state.t_n + ci * disc.dt) for ci in tableau.c])
     weno = None if state.mask.count() == 0 else SparseWenoZ(
         state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx, bv)
     reduce = np.mean if reduction == "mean" else np.sum
@@ -231,8 +229,6 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
             resid[..., weno.points] = weno(u)
         if nu > 0.0:
             resid = resid - jet[2, :q] * nu
-        if source is not None:
-            resid = resid - source
         diff = jet[0] + mix @ resid - data
         bdiff = jet[0][..., ends] - bv
         l_pde.data, l_bc.data = reduce(diff * diff), reduce(bdiff * bdiff)
@@ -307,7 +303,8 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
         if not np.isfinite(loss_value):
             norm = float(np.sqrt(sum(np.sum(p.data**2) for p in params.leaves())))
             raise TrainingDivergedError(
-                f"non-finite loss at step {step_index}, iteration {iteration}",
+                f"step {step_index} (t={state.t_n:.6g}) aborted: "
+                f"non-finite loss at iteration {iteration}",
                 iteration=iteration,
                 parameter_norm=norm,
             )
@@ -371,7 +368,9 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     each step warm-starts from the previous step's trained parameters.  The
     network gets q+1 outputs whatever `net_config.outputs` says.  `reference`
     sets the solver's n_cells and cfl (SolverConfig's defaults when None); its
-    pde, t_final and snapshot times are this march's.
+    pde, t_final and snapshot times are this march's.  The reference is solved
+    before the first step, so a reference the solver cannot run costs no
+    training.
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
@@ -380,6 +379,14 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
+
+    ref_times = [t for t in eval_times if t > 0.0]
+    snapshots = []
+    if ref_times:
+        _, snapshots = solve(replace(
+            reference or SolverConfig(pde), pde=pde,
+            t_final=max(ref_times), snapshot_times=tuple(ref_times),
+        ))
 
     x, dx = pde.grid(disc.n_points)
     fields = [GridField(pde.initial(x), pde.domain[0], dx)]
@@ -391,16 +398,9 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
         if n > 0 and not training.warm_start:
             params = init_xavier(replace(net_config, seed=net_config.seed + n))
         state = step_state(fields[-1], times[-1], pde, disc)
-        try:
-            params, u_next, diag = train_step(
-                state, params, tableau, pde, disc, training, step_index=n
-            )
-        except TrainingDivergedError as err:
-            raise TrainingDivergedError(
-                f"step {n} (t={times[-1]:.6g}) aborted: {err}",
-                iteration=err.iteration,
-                parameter_norm=err.parameter_norm,
-            ) from err
+        params, u_next, diag = train_step(
+            state, params, tableau, pde, disc, training, step_index=n
+        )
         fields.append(u_next)
         times.append((n + 1) * disc.dt)
         diagnostics.append(diag)
@@ -408,16 +408,10 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             on_step(diag)
 
     errors, ref_fields = {}, {}
-    ref_times = [t for t in eval_times if t > 0.0]
-    if ref_times:
-        _, snapshots = solve(replace(
-            reference or SolverConfig(pde), pde=pde,
-            t_final=max(ref_times), snapshot_times=tuple(ref_times),
-        ))
-        for t, ref_field in zip(ref_times, snapshots):
-            k = int(round(t / disc.dt))
-            errors[t] = relative_error(fields[k], ref_field)
-            ref_fields[t] = ref_field
+    for t, ref_field in zip(ref_times, snapshots):
+        k = int(round(t / disc.dt))
+        errors[t] = relative_error(fields[k], ref_field)
+        ref_fields[t] = ref_field
     return MarchResult(
         times=times, fields=fields, errors=errors,
         reference=ref_fields, diagnostics=diagnostics,

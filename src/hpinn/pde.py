@@ -1,6 +1,6 @@
 """Problem statement for 1-D conservation-diffusion equations
 
-    u_t + f(u)_x = nu * u_xx + h(x, t)
+    u_t + f(u)_x = nu * u_xx
 
 on an interval with Dirichlet boundaries.  ``flux``/``dflux`` are written as
 plain arithmetic.  The package applies them to ndarrays only, and ``dflux``
@@ -25,7 +25,6 @@ class PdeSpec:
     flux: Callable  # f(u)
     dflux: Callable  # f'(u), the characteristic speed
     viscosity: float = 0.0
-    source: Optional[Callable] = None  # h(x, t) -> ndarray, None means zero
     domain: tuple = (-1.0, 1.0)
     boundary_value: float = 0.0  # Dirichlet value at both ends
     initial: Optional[Callable] = None  # u(0, x)

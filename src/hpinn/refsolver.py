@@ -69,30 +69,21 @@ def _ghosts(u: np.ndarray, value: float) -> np.ndarray:
     return np.concatenate([left, u, right])
 
 
-def rhs(u: np.ndarray, dx: float, pde: PdeSpec, t: float = 0.0) -> np.ndarray:
-    """-f(u)_x + nu*u_xx + h with WENO-Z convection and central diffusion.
-
-    `u` holds the values on the solver grid, which starts at pde.domain[0].
-    """
+def rhs(u: np.ndarray, dx: float, pde: PdeSpec) -> np.ndarray:
+    """-f(u)_x + nu*u_xx with WENO-Z convection and central diffusion."""
     ue = _ghosts(u, pde.boundary_value)
     lam = LAMBDA_SAFETY * pde.max_speed(u)
     out = -weno_derivative(ue, pde.flux, lam, dx)
     if pde.viscosity > 0.0:
         out += pde.viscosity * (ue[4:-2] - 2.0 * ue[3:-3] + ue[2:-4]) / (dx * dx)
-    if pde.source is not None:
-        out += pde.source(pde.domain[0] + dx * np.arange(u.shape[0]), t)
     return out
 
 
-def rk3_combine(u: np.ndarray, t: float, dt: float, rhs_fn) -> np.ndarray:
-    """Three-stage convex-combination update of Shu-Osher type.
-
-    `rhs_fn(v, s)` is the right-hand side at stage time s: the stages sit at
-    t, t + dt and t + dt/2.
-    """
-    u1 = u + dt * rhs_fn(u, t)
-    u2 = (3.0 * u + u1 + dt * rhs_fn(u1, t + dt)) / 4.0
-    return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2, t + 0.5 * dt)) / 3.0
+def rk3_combine(u: np.ndarray, dt: float, rhs_fn) -> np.ndarray:
+    """Three-stage convex-combination update of Shu-Osher type."""
+    u1 = u + dt * rhs_fn(u)
+    u2 = (3.0 * u + u1 + dt * rhs_fn(u1)) / 4.0
+    return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2)) / 3.0
 
 
 def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
@@ -105,12 +96,12 @@ def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
 
 
 def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
-                 cfl: float = 1.0, t: float = 0.0) -> np.ndarray:
+                 cfl: float = 1.0) -> np.ndarray:
     """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds."""
     limit = stable_dt(u, dx, pde, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
-    return rk3_combine(u, t, dt, lambda v, s: rhs(v, dx, pde, t=s))
+    return rk3_combine(u, dt, lambda v: rhs(v, dx, pde))
 
 
 def solve(config: SolverConfig, monitor=None):
@@ -143,7 +134,7 @@ def solve(config: SolverConfig, monitor=None):
             dt = min(stable_dt(u, dx, pde, config.cfl), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl, t=t)
+                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"reference solve went non-finite at t={t:.6g}: {err}") from err

@@ -108,9 +108,9 @@ def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float) -> Value:
     return ad.fused((conv_ad, stages.u), forward, vjp, "weno_z")
 
 
-def residual_operator(stages: Jet, mask, pde, lam: float, grid, t_n: float, dt: float,
-                      tableau, convection=hybrid_convection) -> Value:
-    """N[u] = f(u)_x - nu*u_xx - h for the first q stage rows.
+def residual_operator(stages: Jet, mask, pde, lam: float, grid, tableau,
+                      convection=hybrid_convection) -> Value:
+    """N[u] = f(u)_x - nu*u_xx for the first q stage rows.
 
     The viscous term always uses the autodiff second derivative, in smooth
     and flagged cells alike.
@@ -126,9 +126,6 @@ def residual_operator(stages: Jet, mask, pde, lam: float, grid, t_n: float, dt: 
         if head.dxx is None:
             raise ValueError("viscous residual needs order-2 stage fields")
         resid = resid - pde.viscosity * head.dxx
-    if pde.source is not None:
-        h = np.stack([pde.source(grid.x, t_n + ci * dt) for ci in tableau.c])
-        resid = resid - Value(h, label="source")
     return resid
 
 
@@ -175,8 +172,7 @@ def loss_graph(params, state, tableau, pde, disc, reduction="mean",
     """
     order = 2 if pde.viscosity > 0.0 else 1
     jet = forward(params, state.data.x, order)
-    resid = residual_operator(jet, state.mask, pde, state.lam, state.data, state.t_n, disc.dt,
-                              tableau, convection)
+    resid = residual_operator(jet, state.mask, pde, state.lam, state.data, tableau, convection)
     targets = stage_targets(jet.u, resid, tableau, disc.dt)
     total, l_pde, l_bc = compute_loss(targets, jet.u, state.data.values, pde.boundary_value,
                                       reduction)

@@ -143,10 +143,10 @@ class TestStructuralOps:
 
 
 class TestGradientOwnership:
-    """A node keeps a fresh VJP result as its gradient buffer and adds later
-    gradients into it in place, so an array someone else can still read must
-    be copied first: another node's own gradient, a view of one, or one
-    array handed to two parents."""
+    """A node keeps its first VJP result as its gradient and makes a new
+    array for each later sum, so no gradient is written after it is handed
+    on, even when someone else still reads it: another node's own gradient,
+    a view of one, or one array handed to two parents."""
 
     @staticmethod
     def shared(a):

