@@ -66,10 +66,6 @@ LAMBDA_SAFETY = 1.1
 # Adam's decay rates and denominator floor (Kingma & Ba's defaults).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# Imaginary step of the complex-step derivative of f'(u); a power of two, so
-# the step and the division by it are exact.
-CURVATURE_STEP = 2.0**-40
-
 
 @dataclass(frozen=True)
 class Discretization:
@@ -206,10 +202,10 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
     "sum" keeps the raw sums of the discrete-time formulation instead.
 
     Returns (total, l_pde, l_bc); the last two are leaves outside the graph
-    that every refresh of `total` rewrites.  The VJP repeats the products and
-    the order of summation of the node-per-op graph the tests keep as an
-    oracle, so losses and gradients match it bit for bit; it forms no
-    gradient for the tableau or the data.
+    that every refresh of `total` rewrites.  The VJP takes f''(u) from
+    `pde.ddflux` and repeats the products and the order of summation of the
+    node-per-op graph the tests keep as an oracle, so losses and gradients
+    match it bit for bit; it forms no gradient for the tableau or the data.
     """
     q, n = tableau.q, len(state.data)
     mix = np.vstack([tableau.a, tableau.b[None, :]]) * disc.dt
@@ -228,14 +224,18 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
         if weno is not None:
             resid[..., weno.points] = weno(u)
         if nu > 0.0:
-            resid = resid - jet[2, :q] * nu
-        diff = jet[0] + mix @ resid - data
+            resid -= jet[2, :q] * nu
+        diff = mix @ resid
+        diff += jet[0]
+        diff -= data
         bdiff = jet[0][..., ends] - bv
         l_pde.data, l_bc.data = reduce(diff * diff), reduce(bdiff * bdiff)
         tape[:] = speed, diff, bdiff
         return l_pde.data + l_bc.data
 
     def vjp(g, total, jet):
+        # each row of `out` is written once, summed in the oracle's order: u takes
+        # (gdiff + (gweno + gconv u_x f'')) + gbdiff, u_x gconv f', u_xx -gresid nu
         speed, diff, bdiff = tape
         u, ux = jet[0, :q], jet[1, :q]
         gdiff = diff * (g / diff.size if reduction == "mean" else g)
@@ -243,21 +243,22 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
         gbdiff = bdiff * (g / bdiff.size if reduction == "mean" else g)
         gbdiff += gbdiff
         gresid = mix.T @ gdiff
-        gconv, gweno = gresid, 0.0
+        out = np.empty_like(jet)
+        out[1:, q] = 0.0
+        if len(out) > 2:  # zeros when nu = 0
+            np.multiply(gresid, -nu, out=out[2, :q])
         if weno is not None:
             gweno = weno.vjp(gresid[..., weno.points])
-            gconv = gresid.copy()
-            gconv[..., weno.points] = 0.0
-        # f''(u) by a complex step: exact for a polynomial f', 1.0 for Burgers
-        curvature = np.imag(pde.dflux(u + 1j * CURVATURE_STEP)) / CURVATURE_STEP
-        gu = gweno + gconv * ux * curvature
-        out = np.zeros_like(jet)
-        out[0] += gdiff
-        out[0, :q] += gu
-        out[0][..., ends] += gbdiff
-        out[1, :q] += gconv * speed
-        if nu > 0.0:
-            out[2, :q] -= gresid * nu
+            gresid[..., weno.points] = 0.0  # now the convection's gconv
+        gu = gresid * ux
+        gu *= pde.ddflux(u)
+        if weno is not None:
+            gu += gweno
+        np.add(gdiff[:q], gu, out=out[0, :q])
+        out[0, q] = gdiff[q]
+        out[0, :, 0] += gbdiff[:, 0]
+        out[0, :, n - 1] += gbdiff[:, 1]
+        np.multiply(gresid, speed, out=out[1, :q])
         return (out,)
 
     return fused((stages,), forward, vjp, "loss"), l_pde, l_bc

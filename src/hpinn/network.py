@@ -118,7 +118,8 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
     tape = []  # z, s = sech^2 z and y s z' from the last forward
 
     def forward(wd, bd, hd=seed):
-        z = np.matmul(wd, hd)  # rows z, z', z''
+        # rows z, z', z''; at the seed's fan-in of 1 the matmul is one product
+        z = np.matmul(wd, hd) if seed is None else wd * hd
         if not activate:
             np.add(z[0], bd, out=z[0])
             return z

@@ -2,11 +2,11 @@
 
     u_t + f(u)_x = nu * u_xx
 
-on an interval with Dirichlet boundaries.  ``flux``/``dflux`` are written as
-plain arithmetic.  The package applies them to ndarrays only, and ``dflux``
-also to complex ones: the training loss takes f''(u) from it by a complex
-step, which is exact when f' is a polynomial.  The tests' oracle applies them
-to autodiff graph nodes too.
+on an interval with Dirichlet boundaries.  ``flux``/``dflux``/``ddflux`` (f,
+f' and f'') are written as plain arithmetic.  The package applies them to
+real ndarrays only; the training loss's gradient takes f''(u) from
+``ddflux``, which may return a scalar for a constant f''.  The tests' oracle
+applies them to autodiff graph nodes too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = ["PdeSpec", "burgers"]
 class PdeSpec:
     flux: Callable  # f(u)
     dflux: Callable  # f'(u), the characteristic speed
+    ddflux: Callable  # f''(u), an array or a scalar
     viscosity: float = 0.0
     domain: tuple = (-1.0, 1.0)
     boundary_value: float = 0.0  # Dirichlet value at both ends
@@ -54,11 +55,15 @@ def _identity(u):
     return u
 
 
+def _one(u):
+    return 1.0
+
+
 def _minus_sine(x):
     return -np.sin(np.pi * x)
 
 
 def burgers(viscosity: float = 0.0) -> PdeSpec:
     """Burgers equation on [-1,1] with u(0,x) = -sin(pi x) and u(t,+-1) = 0."""
-    return PdeSpec(flux=_half_square, dflux=_identity, viscosity=viscosity,
+    return PdeSpec(flux=_half_square, dflux=_identity, ddflux=_one, viscosity=viscosity,
                    initial=_minus_sine)

@@ -10,8 +10,11 @@ product that ``model.loss_node`` calls).  It runs on one slot-first (5, M)
 stencil array holding both upwind sides of every interface, through its
 substencil windows S[0:3], S[1:4] and S[2:5], as does the indicator's
 beta_0..beta_2.  Every sum keeps the order of the formulas written out term
-by term, so the numbers are bit for bit those of the tuple-form kernel kept
-in ``tests/weno_oracle.py``, next to the composition over autodiff Values.
+by term.  The kernels work in place on temporaries of their own, never on an
+argument, and keep each product's operands and each sum's association and
+order (``c = C_lo lo; c += C_mid mid; ...``, never ``C_lo (lo + ...)``), so
+the numbers are bit for bit those of the tuple-form kernel kept in
+``tests/weno_oracle.py``, next to the composition over autodiff Values.
 
 Smoothness indicators use the standard Jiang-Shu form with BOTH terms
 squared: the unsquared 13/12 term sometimes seen in print can go negative,
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridField",
@@ -115,9 +117,16 @@ _D = np.array(LINEAR_WEIGHTS)[:, None]
 def _indicators(s):
     """Jiang-Shu beta_0..beta_2 (both terms squared), with their P and Q."""
     lo, mid, hi = s[0:3], s[1:4], s[2:5]
-    p = lo - 2.0 * mid + hi
-    q = _Q_LO * lo + _Q_MID * mid + _Q_HI * hi
-    return (13.0 / 12.0) * p ** 2 + 0.25 * q ** 2, p, q
+    p = lo - 2.0 * mid
+    p += hi
+    q = _Q_LO * lo
+    t = _Q_MID * mid
+    q += t
+    q += np.multiply(_Q_HI, hi, out=t)
+    beta = np.square(p)
+    beta *= 13.0 / 12.0
+    beta += np.multiply(np.square(q, out=t), 0.25, out=t)
+    return beta, p, q
 
 
 def beta3(stencil):
@@ -155,15 +164,24 @@ def _wenoz(s):
     sum of squares, so beta_k + EPS >= EPS, and each alpha_k >= d_k, so the
     alpha sum is at least 1.
     """
-    c = (_C_LO * s[0:3] + _C_MID * s[1:4] + _C_HI * s[2:5]) * (1.0 / 6.0)
+    c = _C_LO * s[0:3]
+    t = _C_MID * s[1:4]
+    c += t
+    c += np.multiply(_C_HI, s[2:5], out=t)
+    c *= 1.0 / 6.0
     beta, p, q = _indicators(s)
     spread = beta[0] - beta[2]
-    dens = beta + EPS
-    ratios = abs(spread) / dens  # tau5 / (beta_k + EPS)
-    alphas = _D * (1.0 + ratios ** 2)
-    asum = alphas[0] + alphas[1] + alphas[2]
-    w = alphas / asum
-    fhat = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
+    dens = np.add(beta, EPS, out=beta)
+    ratios = np.abs(spread) / dens  # tau5 / (beta_k + EPS)
+    w = np.square(ratios)
+    w += 1.0
+    w *= _D  # alpha_k
+    asum = w[0] + w[1]
+    asum += w[2]
+    w /= asum
+    fhat = w[0] * c[0]
+    fhat += np.multiply(w[1], c[1], out=t[0])
+    fhat += np.multiply(w[2], c[2], out=t[0])
     return fhat, c, w, asum, dens, ratios, spread, p, q
 
 
@@ -173,10 +191,16 @@ def _wenoz_vjp(g, tape):
     # fhat = sum_k w_k c_k with w_k = alpha_k / asum
     gc0, gc1, gc2 = g * w
     # alpha_k = d_k (1 + r_k^2), r_k = tau5 / (beta_k + EPS)
-    gr = g * (c - fhat) / asum * (2.0 * _D) * ratios
-    grd = gr / dens
-    gtau = (grd[0] + grd[1] + grd[2]) * np.sign(spread)  # tau5 = |beta_0 - beta_2|
-    gb = -gr * ratios / dens
+    gr = c - fhat
+    gr *= g
+    gr /= asum
+    gr *= 2.0 * _D
+    gr *= ratios
+    t = np.divide(gr, dens)
+    gtau = (t[0] + t[1] + t[2]) * np.sign(spread)  # tau5 = |beta_0 - beta_2|
+    gb = np.negative(gr, out=gr)
+    gb *= ratios
+    gb /= dens
     gb[0] += gtau
     gb[2] -= gtau
     # candidate fluxes
@@ -187,11 +211,14 @@ def _wenoz_vjp(g, tape):
     gs[3] = (2.0 * gc1 + 5.0 * gc2) * (1.0 / 6.0)
     gs[4] = (-1.0 / 6.0) * gc2
     # beta_k = 13/12 P_k^2 + 1/4 Q_k^2, window by window
-    gp, gq = (13.0 / 6.0) * gb * p, 0.5 * gb * q
+    gq = gb * 0.5
+    gq *= q
+    gp = np.multiply(gb, 13.0 / 6.0, out=gb)
+    gp *= p
     for k in range(3):
         win = gs[k : k + 3]
-        win += _P * gp[k]
-        win += _Q[:, k : k + 1] * gq[k]
+        win += np.multiply(_P, gp[k], out=t)
+        win += np.multiply(_Q[:, k : k + 1], gq[k], out=t)
     return gs
 
 
@@ -271,10 +298,14 @@ def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.nda
     `u_ext` is the field with GHOST ghost cells already on each side.
     """
     n = u_ext.shape[0] - 2 * GHOST
-    # windows[side, k] holds f+ (side 0) or f- (side 1) at the cells k .. k + n:
-    # interface x_{i-1/2}, i = 0 .. n, reads f+ at i .. i + 4, f- at i + 5 .. i + 1
-    windows = sliding_window_view(np.stack(split_flux(u_ext, flux_fn, lam)), n + 1, axis=1)
-    fhat = _wenoz(np.concatenate((windows[0, :5], windows[1, 5:0:-1]), axis=1))[0]
+    # interface x_{i-1/2}, i = 0 .. n, reads f+ at cells i .. i + 4 (column i)
+    # and f- at cells i + 5 .. i + 1 (column n + 1 + i)
+    fp, fm = split_flux(u_ext, flux_fn, lam)
+    s = np.empty((5, 2 * (n + 1)))
+    for m in range(5):
+        s[m, : n + 1] = fp[m : m + n + 1]
+        s[m, n + 1 :] = fm[5 - m : 6 - m + n]
+    fhat = _wenoz(s)[0]
     fhat = fhat[: n + 1] + fhat[n + 1 :]
     return (fhat[1:] - fhat[:-1]) * (1.0 / dx)
 

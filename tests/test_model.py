@@ -102,6 +102,7 @@ class TestHybridConvection:
         pde = PdeSpec(
             flux=lambda u: u * u * 0.5,
             dflux=lambda u: u,
+            ddflux=lambda u: 1.0,
             domain=(-1.0, 1.0),
             boundary_value=c,
         )
@@ -237,8 +238,9 @@ class TestLossNode:
     SHOCK = np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X))
 
     def case(self, nu, q, flagged, boundary_value=0.0, seed=0, layers=2,
-              dflux=lambda u: u, flux=lambda u: u * u * 0.5):
-        pde = PdeSpec(flux=flux, dflux=dflux, viscosity=nu, boundary_value=boundary_value)
+              dflux=lambda u: u, flux=lambda u: u * u * 0.5, ddflux=lambda u: 1.0):
+        pde = PdeSpec(flux=flux, dflux=dflux, ddflux=ddflux, viscosity=nu,
+                      boundary_value=boundary_value)
         disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
         data = GridField(self.SHOCK + boundary_value, -1.0, self.X[1] - self.X[0])
         state = step_state(data, 0.3, pde, disc)  # the dilated indicator mask
@@ -294,10 +296,11 @@ class TestLossNode:
     @pytest.mark.parametrize("flagged", ["none", "dilated"])
     def test_curvature_of_a_cubic_flux(self, flagged):
         # f = u^3/3: the convection gradient needs f''(u) = 2u, which the
-        # node takes from f' by a complex step; the oracle builds u*u as nodes
+        # node takes from ddflux; the oracle builds u*u as nodes
         params, state, tab, pde, disc = self.case(1e-4 / np.pi, 3, flagged,
                                                    flux=lambda u: u * u * u * (1.0 / 3.0),
-                                                   dflux=lambda u: u * u)
+                                                   dflux=lambda u: u * u,
+                                                   ddflux=lambda u: 2.0 * u)
         state = dataclasses.replace(state, lam=1.1 * pde.max_speed(state.data.values))
         losses, grads = self.losses_and_gradients(
             *build_loss_graph(params, state, tab, pde, disc)[:2], params)
@@ -306,6 +309,35 @@ class TestLossNode:
         assert losses == pytest.approx(want_losses, rel=1e-14)
         for g, w in zip(grads, want):
             np.testing.assert_allclose(g, w, rtol=1e-11, atol=1e-13 * np.max(np.abs(w)))
+
+    def test_burgers_curvature_is_one(self):
+        assert burgers().ddflux(np.linspace(-1.0, 1.0, 7)) == 1.0
+
+    def test_train_step_never_passes_complex_input_to_dflux(self):
+        def dflux(u):
+            if np.iscomplexobj(u):
+                raise TypeError("dflux takes real input only")
+            return u
+
+        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 2, "dilated", dflux=dflux)
+        config = TrainingConfig(max_iterations=3, loss_tolerance=1e-300)
+        _, u_next, diag = train_step(state, params, tab, pde, disc, config)
+        assert diag.iterations == 3 and np.all(np.isfinite(u_next.values))
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-4 / np.pi])
+    @pytest.mark.parametrize("flagged", ["none", "dilated"])
+    def test_forward_and_vjp_leave_the_jet_unchanged(self, nu, flagged):
+        # Burgers' dflux returns its argument, so the taped speed is the
+        # jet's own row 0; the node works in place on its temporaries only
+        params, state, tab, pde, disc = self.case(nu, 4, flagged)
+        _, (total, _, _), stages = build_loss_graph(params, state, tab, pde, disc)
+        jet = stages.data
+        before = jet.copy()
+        value = total.forward(jet)
+        assert np.array_equal(jet, before)
+        grads = [total.vjp(np.ones_like(value), value, jet)[0] for _ in range(2)]
+        assert np.array_equal(jet, before)
+        assert np.array_equal(grads[0], grads[1])
 
     @pytest.mark.parametrize("flagged", ["none", "dilated"])
     def test_a_dropped_graph_goes_without_the_cycle_collector(self, flagged):
@@ -337,7 +369,7 @@ class TestResidualOperator:
         n = 64
         grid, x = make_grid(n)
         pde = PdeSpec(
-            flux=lambda u: u * u * 0.5, dflux=lambda u: u,
+            flux=lambda u: u * u * 0.5, dflux=lambda u: u, ddflux=lambda u: 1.0,
             domain=(-1.0, 1.0), boundary_value=0.3,
         )
         tab = gauss_legendre_tableau(2)
@@ -367,7 +399,7 @@ class TestResidualOperator:
         x = np.linspace(-1, 1, n)
         grid = GridField(np.zeros(n), -1.0, x[1] - x[0])
         pde = PdeSpec(
-            flux=lambda u: u * u * 0.5, dflux=lambda u: u,
+            flux=lambda u: u * u * 0.5, dflux=lambda u: u, ddflux=lambda u: 1.0,
             viscosity=nu, domain=(-1.0, 1.0),
         )
         tab = gauss_legendre_tableau(1)

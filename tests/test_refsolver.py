@@ -37,6 +37,7 @@ def linear_advection(initial=None):
     return PdeSpec(
         flux=lambda u: u,
         dflux=lambda u: np.ones_like(u) if isinstance(u, np.ndarray) else 1.0,
+        ddflux=lambda u: 0.0,
         viscosity=0.0,
         domain=(-1.0, 1.0),
         initial=initial,
@@ -71,6 +72,7 @@ class TestRhs:
             pde = PdeSpec(
                 flux=lambda u: np.zeros_like(u),
                 dflux=lambda u: np.zeros_like(u),
+                ddflux=lambda u: 0.0,
                 viscosity=0.5,
                 domain=(-1.0, 1.0),
             )

@@ -168,6 +168,44 @@ class TestWenoZKernel:
         assert np.array_equal(grad, want_grad, equal_nan=True)
 
 
+class TestNoArgumentIsWritten:
+    """The kernels work in place on their own temporaries only."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=stencils(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_and_vjp(self, s, seed):
+        g = np.random.default_rng(seed).normal(size=s.shape[1])
+        stencil, cotangent = s.copy(), g.copy()
+        tape = _wenoz(s)
+        assert np.array_equal(s, stencil)
+        taped = [a.copy() for a in tape]
+        _wenoz_vjp(g, tape)
+        assert np.array_equal(g, cotangent)
+        for got, want in zip(tape, taped):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flags=masks(32))
+    def test_sparse_operator(self, seed, flags):
+        # the speed lambda returns its argument, a view of the taped cells
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.5, 1.5, size=(2, 32))
+        cotangent = rng.normal(size=(2, int(flags.sum())))
+        field, cot = u.copy(), cotangent.copy()
+        op = SparseWenoZ(flags, BURGERS_FLUX, lambda v: v, 2.5, 0.05, 0.3)
+        op(u)
+        grads = [op.vjp(cotangent) for _ in range(2)]
+        assert np.array_equal(u, field) and np.array_equal(cotangent, cot)
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("flux", [BURGERS_FLUX, lambda v: v])
+    def test_weno_derivative(self, flux):
+        u_ext = np.random.default_rng(0).uniform(-1.0, 1.0, size=40 + 2 * GHOST)
+        before = u_ext.copy()
+        weno_derivative(u_ext, flux, 1.1, 0.05)
+        assert np.array_equal(u_ext, before)
+
+
 class TestFluxSplit:
     def test_burgers_constant_one(self):
         fplus, fminus = split_flux(np.ones(10), BURGERS_FLUX, 1.0)
