@@ -113,6 +113,11 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
     first layer the constant (x, 1) array, which takes no gradient.  The VJP
     repeats the node-by-node chain rule's products and its order of summing
     three or more terms, so gradients are bit-identical to the unfused graph.
+
+    Row z[0] of the pre-activation jet is dead once the bias is added, so it
+    holds s = sech^2 z, which the VJP reads with rows z' and z''.
+    W's gradient takes the products of all jet rows in one batched matmul and
+    sums them in the unfused graph's order, (z' term + z'' term) + z term.
     """
     seed = None if isinstance(h, Value) else h
     tape = []  # z, s = sech^2 z and y s z' from the last forward
@@ -125,7 +130,7 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
             return z
         out = np.empty((order + 1,) + z.shape[1:])
         y = np.tanh(np.add(z[0], bd, out=out[0]), out=out[0])
-        s = y * y
+        s = np.multiply(y, y, out=z[0])  # z[0] is dead: it holds s
         np.subtract(1.0, s, out=s)
         ysdx = None
         if order >= 1:
@@ -143,11 +148,12 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
     def vjp(g, out, wd, bd, hd=seed):
         gz = _tanh_jet_vjp(g, out, *tape) if activate else g
         gb = gz[0].sum(axis=1, keepdims=True)
+        terms = np.matmul(gz, hd.transpose(0, 2, 1))
         # W's terms in the unfused graph's order: (z' term + z'' term) + z term
         rows = [*range(1, len(gz)), 0]
-        gw = np.matmul(gz[rows[0]], hd[rows[0]].T)
+        gw = terms[rows[0]]
         for i in rows[1:]:
-            gw += np.matmul(gz[i], hd[i].T)
+            gw += terms[i]
         if seed is not None:
             return gw, gb
         return gw, gb, np.matmul(wd.T, gz)
@@ -162,33 +168,47 @@ def _tanh_jet_vjp(g, out, z, s, ysdx):
     At order 2, y = out[0] takes four terms, summed as ((y s z' term + y y
     term) + y y term) + next layer's term, the order in which the unfused
     graph adds them; at order 1 the y s z' term is absent.
+
+    The result's rows are scratch until their final products.  At order 1,
+    gz[0] holds s's gradient gs, then y's, until its final gy s.  At order 2,
+    gz[2] holds -2 g[2], then that times y s z', then g[2] z'', until its
+    final g[2] s; gz[0] holds y's gradient until its final gy s; and one
+    owned buffer holds in turn the gradient on y s z', that times y, the
+    gradient on s z' and gs.  The unfused graph negates gs (s = 1 - y y)
+    before it multiplies by y and adds the product to y's gradient twice;
+    here gs y is doubled and subtracted (order 1) or subtracted twice (order
+    2) instead.  That gives the same bits, since (-a) y == -(a y), (-a) +
+    (-a) == -(a + a) and x + (-v) == x - v exactly.
     """
     y = out[0]
     gz = np.empty(z.shape)
     if len(out) == 1:
         np.multiply(g[0], s, out=gz[0])
         return gz
-    gsdx, gy = g[1], None
-    if len(out) > 2:
-        gt2 = g[2] * -2.0  # on (y s z') z'
-        gysdx = gt2 * z[1]
-        gsdx = gsdx + gysdx * y
-        gy = gysdx * out[1]
-    gs = gsdx * z[1]
-    np.multiply(gsdx, s, out=gz[1])
-    if len(out) > 2:
-        gz[1] += gt2 * ysdx
-        if len(z) > 2:
-            gs += g[2] * z[2]
-            np.multiply(g[2], s, out=gz[2])
-    np.negative(gs, out=gs)
-    gs *= y  # each of y's two terms from s = 1 - y y
-    if gy is None:
-        gy = gs + gs
+    if len(out) == 2:
+        gs = np.multiply(g[1], z[1], out=gz[0])
+        np.multiply(g[1], s, out=gz[1])
+        gs *= y  # each of y's two terms from s = 1 - y y
+        gs += gs
+        gy = np.subtract(g[0], gs, out=gs)
     else:
-        gy += gs
-        gy += gs
-    gy += g[0]
+        # the first layer's jet has no z'' row, so it takes a buffer of its own
+        gt2 = np.multiply(g[2], -2.0, out=gz[2] if len(z) > 2 else np.empty_like(y))
+        gs = gt2 * z[1]  # on y s z'
+        gy = np.multiply(gs, out[1], out=gz[0])
+        gt2 *= ysdx
+        gs *= y
+        gs += g[1]  # on s z'
+        np.multiply(gs, s, out=gz[1])
+        gz[1] += gt2
+        gs *= z[1]
+        if len(z) > 2:
+            gs += np.multiply(g[2], z[2], out=gz[2])
+            np.multiply(g[2], s, out=gz[2])
+        gs *= y  # each of y's two terms from s = 1 - y y
+        gy -= gs
+        gy -= gs
+        gy += g[0]
     np.multiply(gy, s, out=gz[0])
     return gz
 

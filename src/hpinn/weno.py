@@ -226,27 +226,40 @@ class SparseWenoZ:
     """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
 
     Construction fixes, once per frozen mask, the flagged points, the
-    interfaces x_{k-1/2} they difference (k = j, j + 1) and a (5, 2,
-    interfaces) index into u padded with GHOST rows of `boundary_value`: f+
-    slot m reads padded cell k + m, f- slot m the mirrored cell k + 5 - m.  A
-    call is a row copy into that buffer, a gather, the split flux and one
-    `_wenoz` call: each value is bit for bit `weno_derivative`'s from the field
-    padded with `boundary_value`.  `vjp` differentiates the last call.
+    interfaces x_{k-1/2} they difference (k = j, j + 1) and the window of
+    cells their stencils read: padded cells first .. last + 5, with GHOST
+    cells of `boundary_value` beyond each wall.  f+ slot m of interface k
+    reads padded cell k + m, f- slot m the mirrored cell k + 5 - m.  Arrays
+    hold one cell or interface per row and the rows of u along the last axis,
+    so each gather and scatter moves whole rows.  A call copies u's window,
+    splits the flux there once per cell, gathers the (5, 2, interfaces, rows)
+    stencils and makes one `_wenoz` call: each value is bit for bit
+    `weno_derivative`'s from the field padded with `boundary_value`.  `vjp`
+    differentiates the last call; each window cell sums its six terms in the
+    order m = 0 .. 5.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
                  boundary_value: float = 0.0):
         self.points = np.flatnonzero(flags)
+        self._n = n = len(flags)
         ifaces = np.union1d(self.points, self.points + 1)
+        # point j differences interfaces j and j + 1, neighbours in `ifaces`
         self._lo = np.searchsorted(ifaces, self.points)
         self._hi = self._lo + 1
-        cols = ifaces + np.arange(2 * GHOST)[:, None]  # (6, interfaces), padded
-        self._index = np.stack((cols[:5], cols[5:0:-1]), axis=1)
-        self._rows = np.unique(cols)  # the padded rows any stencil reads
-        self._slots = np.searchsorted(self._rows, cols)
-        self._signed_lam = np.array([lam, -lam])[:, None, None]  # f+ and f- sides
-        self._n = len(flags)
-        self._buf = np.empty((self._n + 2 * GHOST, 0))  # (padded n, rows)
+        first = ifaces[0] if ifaces.size else 0
+        width = ifaces[-1] + 2 * GHOST - first if ifaces.size else 0
+        # the window's cells on the grid, and where they sit in the window
+        start, stop = max(first, GHOST), min(first + width, n + GHOST)
+        self._cells = slice(start - GHOST, stop - GHOST)
+        self._inner = slice(start - first, stop - first)
+        # window rows of each interface's six cells (6, interfaces); in the
+        # (f+, f-) rows of the split flux, its (5, 2, interfaces) stencils;
+        # and in six stacked windows, cell m of an interface in window m
+        self._six = np.arange(2 * GHOST)[:, None] + (ifaces - first)
+        self._stencils = np.stack((self._six[:5], width + self._six[5:0:-1]), axis=1)
+        self._layers = (self._six + width * np.arange(2 * GHOST)[:, None]).ravel()
+        self._width = width
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
         self.boundary_value = boundary_value
 
@@ -254,42 +267,56 @@ class SparseWenoZ:
         """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
         if not self.points.size:
             return np.zeros(u.shape[:-1] + (0,))
-        rows = u.reshape(-1, self._n).T
-        if self._buf.shape[1] != rows.shape[1]:
-            self._buf = np.full((self._n + 2 * GHOST, rows.shape[1]), self.boundary_value)
-        self._buf[GHOST : GHOST + self._n] = rows
-        ue = self._buf[self._index]  # (5, 2, interfaces, rows)
-        s = (self.flux_fn(ue) + self._signed_lam * ue) * 0.5
+        rows = u.reshape(-1, self._n)
+        window = np.full((self._width, len(rows)), self.boundary_value)
+        window[self._inner] = rows[:, self._cells].T
+        # f+- = (f(u) +- lam u) / 2, once per cell
+        lu = self.lam * window
+        f = self.flux_fn(window)
+        split = np.empty((2,) + window.shape)
+        np.add(f, lu, out=split[0])
+        np.subtract(f, lu, out=split[1])
+        split *= 0.5
+        s = split.reshape(-1, len(rows))[self._stencils]  # (5, 2, interfaces, rows)
         tape = _wenoz(s.reshape(5, -1))
-        self._tape = (ue, tape)
-        plus, minus = tape[0].reshape(ue.shape[1:])
+        self._tape = (window, tape)
+        plus, minus = tape[0].reshape(s.shape[1:])
         fhat = plus + minus
-        d = (fhat[self._hi] - fhat[self._lo]) * (1.0 / self.dx)
-        return d.T.reshape(u.shape[:-1] + (len(self.points),))
+        d = fhat[1:] - fhat[:-1]
+        d *= 1.0 / self.dx
+        return d[self._lo].T.reshape(u.shape[:-1] + (len(self.points),))
 
     def vjp(self, grad: np.ndarray) -> np.ndarray:
         """Gradient on u (..., n) of <grad, self(u)> at the last call's u."""
         if not self.points.size:
             return np.zeros(grad.shape[:-1] + (self._n,))
-        ue, tape = self._tape
-        gfhat = np.zeros(ue.shape[2:])  # (interfaces, rows)
-        g = grad.reshape(-1, len(self.points)).T * (1.0 / self.dx)
-        gfhat[self._hi] = g
-        gfhat[self._lo] -= g
-        gs = _wenoz_vjp(np.concatenate((gfhat, gfhat)).reshape(-1), tape).reshape(ue.shape)
-        # back onto the six padded cells of each interface
-        gp, gm = np.zeros((2, 2 * GHOST) + gfhat.shape)
+        window, tape = self._tape
+        rows = window.shape[1]
+        ifaces = self._six.shape[1]
+        # interface k takes g_{k-1} - g_k: its left point's gradient, then its right's
+        g = np.zeros((ifaces + 1, rows))
+        g[self._hi] = grad.reshape(rows, -1).T
+        g *= 1.0 / self.dx
+        gfhat = np.empty((2, ifaces, rows))  # the same on both upwind sides
+        np.subtract(g[:-1], g[1:], out=gfhat)
+        gs = _wenoz_vjp(gfhat.reshape(-1), tape).reshape(5, 2, ifaces, rows)
+        # onto each interface's six cells; gp[5] and gm[0] stay zero
+        gp, gm = np.zeros((2, 2 * GHOST, ifaces, rows))
         gp[:5] = gs[:, 0]
         gm[5:0:-1] = gs[:, 1]
-        ue6 = np.concatenate((ue[:, 0], ue[:1, 1]))
         # f+- = (f(u) +- lam u) / 2
-        gue = 0.5 * ((gp + gm) * self.dflux_fn(ue6) + self.lam * (gp - gm))
-        # each padded row sums its cells' terms in the order m = 0 .. 5
-        terms = np.zeros((2 * GHOST, len(self._rows), g.shape[1]))
-        terms[np.arange(2 * GHOST)[:, None], self._slots] = gue
-        du = np.zeros((self._n + 2 * GHOST, g.shape[1]))
-        du[self._rows] = terms.sum(axis=0)
-        return du[GHOST : GHOST + self._n].T.reshape(grad.shape[:-1] + (self._n,))
+        gue = gp + gm
+        gue *= self.dflux_fn(window[self._six])
+        gm = np.subtract(gp, gm, out=gm)
+        gm *= self.lam
+        gue += gm
+        gue *= 0.5
+        # each window cell sums its terms in the order m = 0 .. 5
+        terms = np.zeros((2 * GHOST,) + window.shape)
+        terms.reshape(-1, rows)[self._layers] = gue.reshape(-1, rows)
+        du = np.zeros((rows, self._n))
+        np.sum(terms[:, self._inner], axis=0, out=du[:, self._cells].T)
+        return du.reshape(grad.shape[:-1] + (self._n,))
 
 
 def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.ndarray:

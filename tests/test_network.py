@@ -10,6 +10,7 @@ from hpinn.network import (
     init_xavier,
     load_parameters,
     save_parameters,
+    stacked_stages,
 )
 from loss_oracle import mean
 from network_oracle import unfused_forward_stages
@@ -138,6 +139,39 @@ class TestFusedLayers:
         assert labels.count("dense_tanh") == 5 and labels.count("dense") == 1
         assert labels.count("slot") == 3
         assert len(nodes) == 12 + 6 + 3 + 5  # leaves, layers, slots, reduction
+
+
+class TestNoArgumentIsWritten:
+    """A layer node works in place on arrays it made, never on an argument.
+
+    The forward uses row 0 of its own pre-activation jet as scratch, and the
+    tanh VJP row 0 of the gradient it returns.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 2), layer=st.sampled_from(["first", "hidden", "output"]),
+           width=st.integers(1, 20), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_forward_and_vjp(self, order, layer, width, n, seed):
+        rng = np.random.default_rng(seed)
+        params = init_xavier(NetworkConfig(hidden_layers=2, width=width,
+                                           outputs=int(rng.integers(2, 12)), seed=seed))
+        for b in params.biases:
+            b.data = rng.uniform(-1.0, 1.0, size=b.data.shape)
+        top = stacked_stages(params, rng.uniform(-1.0, 1.0, size=n), order)
+        layers = [node for node in Graph(top).nodes if node.parents]
+        node = layers[{"first": 0, "hidden": 1, "output": -1}[layer]]
+        args = [p.data for p in node.parents]  # W, b and, past the first layer, h
+        kept = [a.copy() for a in args]
+        out = node.forward(*args)
+        assert all(np.array_equal(a, k) for a, k in zip(args, kept))
+        assert np.array_equal(node.forward(*args), out)  # the first layer's (x, 1) too
+        g = rng.normal(size=out.shape)
+        given_g, given_out = g.copy(), out.copy()
+        grads = [node.vjp(g, out, *args) for _ in range(2)]
+        assert np.array_equal(g, given_g) and np.array_equal(out, given_out)
+        assert all(np.array_equal(a, k) for a, k in zip(args, kept))
+        for first, again in zip(*grads):
+            assert np.array_equal(first, again)
 
 
 class TestCheckpoint:
