@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +371,7 @@ def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
     cells = [(exp, q, dt, nu) for q in qs for dt in dts for nu in nus]
     workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms: only --jobs N>1 pays it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

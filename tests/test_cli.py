@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -413,7 +414,7 @@ class TestSweep:
             return {"q": q, "dt": dt, "nu": nu, "rel_error": "0.5", "iterations": "1",
                     "converged": "true", "error": ""}
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_sweep_cell", stub_cell)
         return sizes
 
@@ -470,5 +471,14 @@ def test_package_imports_no_scipy():
     proc = run_fresh_interpreter(
         "-c", "import sys, hpinn, hpinn.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_imports_no_process_pool():
+    # only a parallel sweep (--jobs N>1) needs the pool, so only it imports one
+    proc = run_fresh_interpreter(
+        "-c", "import sys, hpinn, hpinn.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpinn.irk import ButcherTableau, gauss_legendre_tableau, verify_order_conditions
+from hpinn.irk import MAX_STAGES, ButcherTableau, gauss_legendre_tableau, verify_order_conditions
+import irk_oracle
 
 
 def irk_exponential_step(tableau, dt):
@@ -62,6 +63,22 @@ class TestTableaus:
         )
         assert stage_order < 1e-13
         assert verify_order_conditions(t, 2 * q).max() < 1e-13
+
+    def test_matches_the_stage_by_stage_construction_bit_for_bit(self):
+        # every stage count the package admits; a divide warning is an error here
+        for q in range(1, MAX_STAGES + 1):
+            got, want = gauss_legendre_tableau(q), irk_oracle.gauss_legendre_tableau(q)
+            for field in ("a", "b", "c"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (q, field)
+
+    def test_no_rule_point_hits_a_node(self):
+        # the barycentric form divides by c_i c_m - c_j; the oracle's unit-vector
+        # branch took over below 1e-14, and the package has no such branch
+        gaps = []
+        for q in range(1, MAX_STAGES + 1):
+            c = gauss_legendre_tableau(q).c
+            gaps.append(np.abs((c[:, None] * c)[:, :, None] - c).min())
+        assert min(gaps) > 1e-9  # 5.8e-9, at q = 85
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
