@@ -22,7 +22,7 @@ from .irk import MAX_STAGES, check_stage_count
 from .model import Discretization, TrainingConfig, TrainingDivergedError, march, step_count
 from .network import NetworkConfig
 from .pde import PdeSpec, burgers
-from .refsolver import SolverConfig, reference_on_grid, solve
+from .refsolver import SolverConfig, solve
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -197,7 +197,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     times = cfg["outputs"]["profile_times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("outputs.profile_times: expected a nonempty list")
-    profile_times = tuple(sorted(_number(t, "outputs.profile_times") for t in times))
+    profile_times = tuple(_number(t, "outputs.profile_times") for t in times)
     _checked("outputs.t_final", step_count, t_final, disc.dt)
     _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
@@ -267,28 +267,23 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
         reference=exp.reference, on_step=on_step,
     )
 
-    for t in exp.profile_times:
-        if t <= 0.0:
-            continue
-        k = int(round(t / exp.disc.dt))
-        pred = result.fields[k]
-        ref_interp = reference_on_grid(result.reference[t], pred)
+    for t, ref in result.reference.items():
+        pred = result.fields[int(round(t / exp.disc.dt))]
         rows = [
             (_fmt(xi), _fmt(ui), _fmt(ri))
-            for xi, ui, ri in zip(pred.x, pred.values, ref_interp)
+            for xi, ui, ri in zip(pred.x, pred.values, ref.values)
         ]
         _atomic_write(exp.out_dir / _profile_name("profile", t), _csv(rows, ("x", column, "u_ref")))
 
-    err_rows = [(_fmt(t), _fmt(result.errors[t])) for t in exp.profile_times if t > 0.0]
+    err_rows = [(_fmt(t), _fmt(err)) for t, err in result.errors.items()]
     _atomic_write(exp.out_dir / "errors.csv", _csv(err_rows, ("time", "rel_error")))
-    log_records.append({"errors": {str(t): result.errors[t] for t in result.errors}})
+    log_records.append({"errors": {str(t): err for t, err in result.errors.items()}})
     _atomic_write(
         exp.out_dir / "diagnostics.jsonl",
         "\n".join(json.dumps(rec) for rec in log_records) + "\n",
     )
-    for t in exp.profile_times:
-        if t > 0.0:
-            print(f"t={t:g}: rel_error={result.errors[t]:.6e}")
+    for t, err in result.errors.items():
+        print(f"t={t:g}: rel_error={err:.6e}")
     return EXIT_OK
 
 
@@ -302,9 +297,8 @@ def cmd_baseline(exp: Experiment) -> int:
 
 def cmd_reference(exp: Experiment) -> int:
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    times = tuple(t for t in exp.profile_times if t > 0.0)
-    got_times, fields = solve(
-        dataclasses.replace(exp.reference, t_final=exp.t_final, snapshot_times=times))
+    got_times, fields = solve(dataclasses.replace(
+        exp.reference, t_final=exp.t_final, snapshot_times=exp.profile_times))
     for t, f in zip(got_times, fields):
         rows = [(_fmt(xi), _fmt(ui)) for xi, ui in zip(f.x, f.values)]
         _atomic_write(exp.out_dir / _profile_name("reference", t), _csv(rows, ("x", "u")))
@@ -362,6 +356,8 @@ def _check_swept(flag, values, check, reason):
 
 
 def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
+    # a repeated value would train the same cell, with the same seed, twice
+    qs, dts, nus = (list(dict.fromkeys(values)) for values in (qs, dts, nus))
     _check_swept("--q", qs, check_stage_count, f"is not a stage count in [1, {MAX_STAGES}]")
     _check_swept("--dt", dts, lambda dt: step_count(exp.t_final, dt),
                  f"does not divide t_final={_fmt(exp.t_final)}")

@@ -32,7 +32,7 @@ from .autodiff import Graph, Value, fused
 from .irk import ButcherTableau, gauss_legendre_tableau
 from .network import NetworkConfig, NetworkParameters, init_xavier, stacked_stages
 from .pde import PdeSpec
-from .refsolver import SolverConfig, relative_error, solve
+from .refsolver import SolverConfig, reference_on_grid, relative_error, solve
 from .weno import (
     MASK_DILATION,
     MIN_POINTS,
@@ -134,10 +134,11 @@ class StepDiagnostics:
 
 @dataclass
 class MarchResult:
-    times: list
-    fields: list  # GridField at every step boundary, initial condition first
+    """`errors` and `reference` share their keys: the sorted, merged eval times."""
+
+    fields: list  # GridField at k * dt for every step boundary k, initial condition first
     errors: dict  # eval time -> global relative error vs the reference run
-    reference: dict  # eval time -> reference GridField
+    reference: dict  # eval time -> the reference on that time's prediction grid (a GridField)
     diagnostics: list
 
 
@@ -346,15 +347,16 @@ def step_count(t_final: float, dt: float, eval_times=()) -> int:
     """The number of steps of `dt` that reach `t_final`.
 
     Raises ValueError unless t_final is a multiple of dt and every eval time
-    is a step boundary in [0, t_final].
+    is a step boundary in (0, t_final]: the march trains nothing to compare
+    at t = 0.
     """
     n_steps = int(round(t_final / dt)) if dt > 0.0 else 0
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-12:
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
     for t in eval_times:
         k = int(round(t / dt))
-        if not 0 <= k <= n_steps or abs(k * dt - t) > 1e-9:
-            raise ValueError(f"eval time {t} does not land on a step boundary")
+        if not 1 <= k <= n_steps or abs(k * dt - t) > 1e-9:
+            raise ValueError(f"eval time {t} does not land on a step boundary in (0, {t_final}]")
     return n_steps
 
 
@@ -371,49 +373,46 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     sets the solver's n_cells and cfl (SolverConfig's defaults when None); its
     pde, t_final and snapshot times are this march's.  The reference is solved
     before the first step, so a reference the solver cannot run costs no
-    training.
+    training.  `eval_times` are sorted and merged (`step_count` checks them).
+    At each, the reference is put once onto the prediction's grid, and both
+    the error and `MarchResult.reference` come from that one array.
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
-    eval_times = tuple(float(t) for t in eval_times)
+    eval_times = tuple(sorted({float(t) for t in eval_times}))
     n_steps = step_count(t_final, disc.dt, eval_times)
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
-    ref_times = [t for t in eval_times if t > 0.0]
     snapshots = []
-    if ref_times:
+    if eval_times:
         _, snapshots = solve(replace(
             reference or SolverConfig(pde), pde=pde,
-            t_final=max(ref_times), snapshot_times=tuple(ref_times),
+            t_final=eval_times[-1], snapshot_times=eval_times,
         ))
 
     x, dx = pde.grid(disc.n_points)
     fields = [GridField(pde.initial(x), pde.domain[0], dx)]
-    times = [0.0]
 
     params = init_xavier(net_config)
     diagnostics = []
     for n in range(n_steps):
         if n > 0 and not training.warm_start:
             params = init_xavier(replace(net_config, seed=net_config.seed + n))
-        state = step_state(fields[-1], times[-1], pde, disc)
+        state = step_state(fields[-1], n * disc.dt, pde, disc)
         params, u_next, diag = train_step(
             state, params, tableau, pde, disc, training, step_index=n
         )
         fields.append(u_next)
-        times.append((n + 1) * disc.dt)
         diagnostics.append(diag)
         if on_step is not None:
             on_step(diag)
 
     errors, ref_fields = {}, {}
-    for t, ref_field in zip(ref_times, snapshots):
-        k = int(round(t / disc.dt))
-        errors[t] = relative_error(fields[k], ref_field)
-        ref_fields[t] = ref_field
-    return MarchResult(
-        times=times, fields=fields, errors=errors,
-        reference=ref_fields, diagnostics=diagnostics,
-    )
+    for t, snapshot in zip(eval_times, snapshots):
+        pred = fields[int(round(t / disc.dt))]
+        ref = GridField(reference_on_grid(snapshot, pred), pred.x0, pred.dx)
+        errors[t], ref_fields[t] = relative_error(pred, ref), ref
+    return MarchResult(fields=fields, errors=errors, reference=ref_fields,
+                       diagnostics=diagnostics)

@@ -15,7 +15,8 @@ from hpinn import cli
 from hpinn.model import Discretization, StepDiagnostics, TrainingConfig, TrainingDivergedError
 from hpinn.network import NetworkConfig
 from hpinn.pde import burgers
-from hpinn.refsolver import SolverConfig
+from hpinn.refsolver import SolverConfig, reference_on_grid, solve
+from hpinn.weno import GridField
 
 TINY = {
     "pde": {"viscosity": 0.0},
@@ -94,6 +95,9 @@ class TestConfigErrors:
          "discretization.q_stages: stage count must be in [1, 100], got 101"),
         ({"network": {"seed": -1}}, [], "network: seed must be nonnegative, got -1"),
         ({}, ["--seed", "-1"], "network: seed must be nonnegative, got -1"),
+        # nothing is trained to compare at t = 0
+        ({"outputs": {"profile_times": [0.0, 0.5]}}, [],
+         "outputs.profile_times: eval time 0.0 does not land on a step boundary in (0, 0.5]"),
     ])
     def test_setting_the_package_rejects(self, tmp_path, capsys, overrides, flags, message):
         # the package's own checks (PdeSpec, NetworkConfig, the tableau's
@@ -227,6 +231,23 @@ class TestRun:
         assert steps
         fields = [f.name for f in dataclasses.fields(StepDiagnostics)]
         assert all(list(rec) == fields for rec in steps)
+
+    def test_repeated_profile_times_pair_each_profile_with_its_own_reference(self, tmp_path):
+        path = write_config(tmp_path, {"discretization": {"dt": 0.25},
+                                       "training": {"max_iterations": 5},
+                                       "outputs": {"profile_times": [0.25, 0.25, 0.5]}})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "errors.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.25", "0.5"]
+        exp = cli.load_config(path)
+        _, snapshots = solve(dataclasses.replace(
+            exp.reference, t_final=0.5, snapshot_times=(0.25, 0.5)))
+        for t, snapshot in zip((0.25, 0.5), snapshots):
+            profile = np.loadtxt(out / f"profile_t{t:g}.csv", delimiter=",", skiprows=1)
+            pred = GridField(profile[:, 1], exp.pde.domain[0], exp.pde.grid(48)[1])
+            assert np.array_equal(profile[:, 0], pred.x)
+            assert np.array_equal(profile[:, 2], reference_on_grid(snapshot, pred))
 
     def test_seed_override_changes_profiles(self, tmp_path):
         path = write_config(tmp_path)
@@ -380,6 +401,21 @@ class TestSweep:
         assert len(loads) == 1
         rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [row[3] for row in rows] == ["0.125"] * 4
+
+    def test_repeated_swept_values_run_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def march(pde, disc, *args, t_final, **kwargs):
+            calls.append((disc.q_stages, disc.dt, pde.viscosity))
+            return SimpleNamespace(errors={t_final: 0.125}, diagnostics=[])
+
+        monkeypatch.setattr(cli, "march", march)
+        out = tmp_path / "s"
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--q", "1", "1", "--dt", "0.5", "0.5", "--nu", "0.0", "0.0"])
+        assert code == 0
+        assert calls == [(1, 0.5, 0.0)]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2  # header and one row
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         path = write_config(tmp_path)

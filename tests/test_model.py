@@ -681,12 +681,14 @@ class TestMarch:
         assert len(res.diagnostics) == 2
 
     def test_errors_reported_at_eval_times(self):
+        # unsorted and repeated times come back sorted, once each
         pde, disc, net, training = self.tiny_setup(dt=0.25)
         res = march(
-            pde, disc, net, training, t_final=0.5, eval_times=(0.25, 0.5),
+            pde, disc, net, training, t_final=0.5, eval_times=(0.5, 0.25, 0.5),
             reference=SolverConfig(pde, n_cells=64),
         )
-        assert set(res.errors) == {0.25, 0.5}
+        assert list(res.errors) == [0.25, 0.5]
+        assert list(res.reference) == [0.25, 0.5]
         assert all(np.isfinite(v) for v in res.errors.values())
 
     def test_reference_that_cannot_run_fails_before_any_step(self):
