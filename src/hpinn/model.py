@@ -9,9 +9,9 @@ WENO-Z divided difference at points flagged by the discontinuity indicator
 stage values back through the tableau must reproduce the known data u^n at
 every collocation point, which together with the boundary mismatch forms the
 training loss.  Everything after the network's last layer -- the residual,
-with the WENO-Z branch evaluated only at the flagged points and their 3-cell
-halos, the tableau fold and the loss -- is one graph node with a hand-written
-vector-Jacobian product (`loss_node`).
+with the WENO-Z branch run from the first flagged point to the last (one run
+per shock) and 3 cells beyond, the tableau fold and the loss -- is one graph
+node with a hand-written vector-Jacobian product (`loss_node`).
 
 The discontinuity mask and the splitting speed lambda are computed once per
 time step from the known data u^n and then frozen, so the loss surface stays
@@ -373,23 +373,27 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     sets the solver's n_cells and cfl (SolverConfig's defaults when None); its
     pde, t_final and snapshot times are this march's.  The reference is solved
     before the first step, so a reference the solver cannot run costs no
-    training.  `eval_times` are sorted and merged (`step_count` checks them).
+    training.  `eval_times` are checked by `step_count`, sorted and merged
+    by step boundary, each boundary keeping the smallest float that names it.
     At each, the reference is put once onto the prediction's grid, and both
     the error and `MarchResult.reference` come from that one array.
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
-    eval_times = tuple(sorted({float(t) for t in eval_times}))
+    eval_times = sorted(map(float, eval_times))
     n_steps = step_count(t_final, disc.dt, eval_times)
+    steps = {}  # step boundary k -> the smallest eval time naming it
+    for t in eval_times:
+        steps.setdefault(round(t / disc.dt), t)
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
     snapshots = []
-    if eval_times:
+    if steps:
         _, snapshots = solve(replace(
             reference or SolverConfig(pde), pde=pde,
-            t_final=eval_times[-1], snapshot_times=eval_times,
+            t_final=eval_times[-1], snapshot_times=tuple(steps.values()),
         ))
 
     x, dx = pde.grid(disc.n_points)
@@ -410,8 +414,8 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             on_step(diag)
 
     errors, ref_fields = {}, {}
-    for t, snapshot in zip(eval_times, snapshots):
-        pred = fields[int(round(t / disc.dt))]
+    for (k, t), snapshot in zip(steps.items(), snapshots):
+        pred = fields[k]
         ref = GridField(reference_on_grid(snapshot, pred), pred.x0, pred.dx)
         errors[t], ref_fields[t] = relative_error(pred, ref), ref
     return MarchResult(fields=fields, errors=errors, reference=ref_fields,

@@ -2,18 +2,20 @@
 scale-separation indicator that classifies each grid point as smooth or
 discontinuous.
 
-One kernel, ``_wenoz``, reconstructs the WENO-Z interface flux for both the
-reference solver (``weno_derivative``, every interface of a field the caller
-has padded with ghost cells) and the training loss (``SparseWenoZ``, the
-flagged points and their 3-cell halos, with a hand-written vector-Jacobian
-product that ``model.loss_node`` calls).  It runs on one slot-first (5, M)
-stencil array holding both upwind sides of every interface, through its
-substencil windows S[0:3], S[1:4] and S[2:5], as does the indicator's
-beta_0..beta_2.  Every sum keeps the order of the formulas written out term
-by term.  The kernels work in place on temporaries of their own, never on an
-argument, and keep each product's operands and each sum's association and
-order (``c = C_lo lo; c += C_mid mid; ...``, never ``C_lo (lo + ...)``), so
-the numbers are bit for bit those of the tuple-form kernel kept in
+One path, ``_weno_dx``, takes the WENO-Z flux difference: it splits the flux,
+fills the stencils of both upwind sides and calls the kernel ``_wenoz`` once.
+The reference solver (``weno_derivative``) runs it on a whole ghost-padded
+field and the training loss (``SparseWenoZ``, with a hand-written VJP that
+``model.loss_node`` calls) on the cells from 3 before the first flagged point
+to 3 after the last, so a mask with one flagged run (one shock) costs only its
+own points and a mask with two also computes the points between them.  The
+kernel runs on one slot-first (5, M) stencil array through its substencil
+windows S[0:3], S[1:4] and S[2:5], as does the indicator's beta_0..beta_2.
+Every sum keeps the order of the formulas written out term by term.  The
+kernels work in place on temporaries of their own, never on an argument, and
+keep each product's operands and each sum's association and order (``c =
+C_lo lo; c += C_mid mid; ...``, never ``C_lo (lo + ...)``), so the numbers
+are bit for bit those of the tuple-form kernel kept in
 ``tests/weno_oracle.py``, next to the composition over autodiff Values.
 
 Smoothness indicators use the standard Jiang-Shu form with BOTH terms
@@ -151,8 +153,8 @@ def split_flux(u_ext, flux_fn, lam: float):
     `lam` must bound |f'(u)| for the split fluxes to be monotone.  `u_ext`
     is an ndarray or a graph node; the result is a (f+, f-) pair of the same.
     """
-    fe = flux_fn(u_ext)
-    return (fe + lam * u_ext) * 0.5, (fe - lam * u_ext) * 0.5
+    fe, lu = flux_fn(u_ext), lam * u_ext
+    return (fe + lu) * 0.5, (fe - lu) * 0.5
 
 
 def _wenoz(s):
@@ -225,41 +227,27 @@ def _wenoz_vjp(g, tape):
 class SparseWenoZ:
     """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
 
-    Construction fixes, once per frozen mask, the flagged points, the
-    interfaces x_{k-1/2} they difference (k = j, j + 1) and the window of
-    cells their stencils read: padded cells first .. last + 5, with GHOST
-    cells of `boundary_value` beyond each wall.  f+ slot m of interface k
-    reads padded cell k + m, f- slot m the mirrored cell k + 5 - m.  Arrays
-    hold one cell or interface per row and the rows of u along the last axis,
-    so each gather and scatter moves whole rows.  A call copies u's window,
-    splits the flux there once per cell, gathers the (5, 2, interfaces, rows)
-    stencils and makes one `_wenoz` call: each value is bit for bit
-    `weno_derivative`'s from the field padded with `boundary_value`.  `vjp`
-    differentiates the last call; each window cell sums its six terms in the
-    order m = 0 .. 5.
+    Construction fixes, once per frozen mask, the flagged points and the
+    window of cells their stencils read: grid cells first - GHOST .. last +
+    GHOST, with `boundary_value` in the cells beyond each wall.  A call
+    copies u's window and runs `_weno_dx` on it, so each value is bit for bit
+    `weno_derivative`'s from the field padded with `boundary_value`.  The
+    window holds one cell per row and the rows of u along the last axis, so
+    each copy moves whole rows.  Between two flagged runs the window computes
+    unflagged points too; a mask with one run, as one shock gives, has none.
+    `vjp` differentiates the last call; each window cell sums its six terms
+    in the order m = 0 .. 5.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
                  boundary_value: float = 0.0):
-        self.points = np.flatnonzero(flags)
+        self.points = points = np.flatnonzero(flags)
         self._n = n = len(flags)
-        ifaces = np.union1d(self.points, self.points + 1)
-        # point j differences interfaces j and j + 1, neighbours in `ifaces`
-        self._lo = np.searchsorted(ifaces, self.points)
-        self._hi = self._lo + 1
-        first = ifaces[0] if ifaces.size else 0
-        width = ifaces[-1] + 2 * GHOST - first if ifaces.size else 0
+        first, stop = (points[0] - GHOST, points[-1] + GHOST + 1) if points.size else (0, 0)
+        self._width = stop - first
         # the window's cells on the grid, and where they sit in the window
-        start, stop = max(first, GHOST), min(first + width, n + GHOST)
-        self._cells = slice(start - GHOST, stop - GHOST)
-        self._inner = slice(start - first, stop - first)
-        # window rows of each interface's six cells (6, interfaces); in the
-        # (f+, f-) rows of the split flux, its (5, 2, interfaces) stencils;
-        # and in six stacked windows, cell m of an interface in window m
-        self._six = np.arange(2 * GHOST)[:, None] + (ifaces - first)
-        self._stencils = np.stack((self._six[:5], width + self._six[5:0:-1]), axis=1)
-        self._layers = (self._six + width * np.arange(2 * GHOST)[:, None]).ravel()
-        self._width = width
+        self._cells = slice(max(first, 0), min(stop, n))
+        self._inner = slice(self._cells.start - first, self._cells.stop - first)
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
         self.boundary_value = boundary_value
 
@@ -270,53 +258,67 @@ class SparseWenoZ:
         rows = u.reshape(-1, self._n)
         window = np.full((self._width, len(rows)), self.boundary_value)
         window[self._inner] = rows[:, self._cells].T
-        # f+- = (f(u) +- lam u) / 2, once per cell
-        lu = self.lam * window
-        f = self.flux_fn(window)
-        split = np.empty((2,) + window.shape)
-        np.add(f, lu, out=split[0])
-        np.subtract(f, lu, out=split[1])
-        split *= 0.5
-        s = split.reshape(-1, len(rows))[self._stencils]  # (5, 2, interfaces, rows)
-        tape = _wenoz(s.reshape(5, -1))
+        d, tape = _weno_dx(window, self.flux_fn, self.lam, self.dx)
         self._tape = (window, tape)
-        plus, minus = tape[0].reshape(s.shape[1:])
-        fhat = plus + minus
-        d = fhat[1:] - fhat[:-1]
-        d *= 1.0 / self.dx
-        return d[self._lo].T.reshape(u.shape[:-1] + (len(self.points),))
+        return d[self.points - self.points[0]].T.reshape(u.shape[:-1] + (len(self.points),))
 
     def vjp(self, grad: np.ndarray) -> np.ndarray:
         """Gradient on u (..., n) of <grad, self(u)> at the last call's u."""
         if not self.points.size:
             return np.zeros(grad.shape[:-1] + (self._n,))
         window, tape = self._tape
-        rows = window.shape[1]
-        ifaces = self._six.shape[1]
+        width, rows = window.shape
+        ifaces = width - 2 * GHOST + 1
         # interface k takes g_{k-1} - g_k: its left point's gradient, then its right's
         g = np.zeros((ifaces + 1, rows))
-        g[self._hi] = grad.reshape(rows, -1).T
+        g[self.points - self.points[0] + 1] = grad.reshape(rows, -1).T
         g *= 1.0 / self.dx
         gfhat = np.empty((2, ifaces, rows))  # the same on both upwind sides
         np.subtract(g[:-1], g[1:], out=gfhat)
         gs = _wenoz_vjp(gfhat.reshape(-1), tape).reshape(5, 2, ifaces, rows)
-        # onto each interface's six cells; gp[5] and gm[0] stay zero
+        # window cell k + m of interface k: f+ slot m and f- slot 5 - m;
+        # gp[5] and gm[0] stay zero
         gp, gm = np.zeros((2, 2 * GHOST, ifaces, rows))
         gp[:5] = gs[:, 0]
         gm[5:0:-1] = gs[:, 1]
         # f+- = (f(u) +- lam u) / 2
         gue = gp + gm
-        gue *= self.dflux_fn(window[self._six])
+        df = self.dflux_fn(window)
+        for m in range(2 * GHOST):
+            gue[m] *= df[m : m + ifaces]
         gm = np.subtract(gp, gm, out=gm)
         gm *= self.lam
         gue += gm
         gue *= 0.5
         # each window cell sums its terms in the order m = 0 .. 5
-        terms = np.zeros((2 * GHOST,) + window.shape)
-        terms.reshape(-1, rows)[self._layers] = gue.reshape(-1, rows)
+        gw = np.zeros(window.shape)
+        for m in range(2 * GHOST):
+            gw[m : m + ifaces] += gue[m]
         du = np.zeros((rows, self._n))
-        np.sum(terms[:, self._inner], axis=0, out=du[:, self._cells].T)
+        du[:, self._cells] = gw[self._inner].T
         return du.reshape(grad.shape[:-1] + (self._n,))
+
+
+def _weno_dx(u_ext, flux_fn, lam: float, dx: float):
+    """WENO-Z d f(u) / dx at the points of `u_ext`, and `_wenoz`'s tape.
+
+    `u_ext` holds GHOST cells on each side of its points along axis 0; any
+    trailing axes are independent columns.
+    """
+    n = u_ext.shape[0] - 2 * GHOST
+    fp, fm = split_flux(u_ext, flux_fn, lam)
+    # interface x_{i-1/2}, i = 0 .. n, reads f+ at cells i .. i + 4 (side 0)
+    # and f- at cells i + 5 .. i + 1 (side 1)
+    s = np.empty((5, 2, n + 1) + u_ext.shape[1:])
+    for m in range(5):
+        s[m, 0] = fp[m : m + n + 1]
+        s[m, 1] = fm[5 - m : 6 - m + n]
+    tape = _wenoz(s.reshape(5, -1))
+    plus, minus = tape[0].reshape(s.shape[1:])
+    fhat = plus + minus
+    d = fhat[1:] - fhat[:-1]
+    d *= 1.0 / dx
+    return d, tape
 
 
 def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.ndarray:
@@ -324,17 +326,7 @@ def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.nda
 
     `u_ext` is the field with GHOST ghost cells already on each side.
     """
-    n = u_ext.shape[0] - 2 * GHOST
-    # interface x_{i-1/2}, i = 0 .. n, reads f+ at cells i .. i + 4 (column i)
-    # and f- at cells i + 5 .. i + 1 (column n + 1 + i)
-    fp, fm = split_flux(u_ext, flux_fn, lam)
-    s = np.empty((5, 2 * (n + 1)))
-    for m in range(5):
-        s[m, : n + 1] = fp[m : m + n + 1]
-        s[m, n + 1 :] = fm[5 - m : 6 - m + n]
-    fhat = _wenoz(s)[0]
-    fhat = fhat[: n + 1] + fhat[n + 1 :]
-    return (fhat[1:] - fhat[:-1]) * (1.0 / dx)
+    return _weno_dx(u_ext, flux_fn, lam, dx)[0]
 
 
 # -- discontinuity indicator --------------------------------------------------

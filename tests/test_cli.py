@@ -76,6 +76,14 @@ class TestConfigErrors:
         code = cli.main(["run", "--config", str(path)])
         assert code == 2
 
+    def test_top_level_list(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- pde\n- training\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config error: config: expected a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_profile_beyond_t_final(self, tmp_path):
         path = write_config(tmp_path, {"outputs": {"profile_times": [0.9]}})
         assert cli.main(["run", "--config", str(path)]) == 2
@@ -98,10 +106,17 @@ class TestConfigErrors:
         # nothing is trained to compare at t = 0
         ({"outputs": {"profile_times": [0.0, 0.5]}}, [],
          "outputs.profile_times: eval time 0.0 does not land on a step boundary in (0, 0.5]"),
+        ({"training": {"loss_reduction": "median"}}, [],
+         "training: loss_reduction must be 'mean' or 'sum'"),
+        ({"pde": {"domain": [0.0]}}, [], "pde.domain: expected [left, right]"),
+        ({"training": {"warm_start": 1}}, [], "training.warm_start: expected true/false"),
+        ({"outputs": {"profile_times": []}}, [],
+         "outputs.profile_times: expected a nonempty list"),
     ])
     def test_setting_the_package_rejects(self, tmp_path, capsys, overrides, flags, message):
-        # the package's own checks (PdeSpec, NetworkConfig, the tableau's
-        # stage range, march's step boundaries) run before any training
+        # the package's own checks (PdeSpec, NetworkConfig, TrainingConfig,
+        # the tableau's stage range, march's step boundaries) and the
+        # parser's shape checks run before any training
         path = write_config(tmp_path, overrides)
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x"), *flags])
         assert code == 2

@@ -618,6 +618,9 @@ class TestSettingTypes:
         partial(burgers, float("inf")),
         partial(dataclasses.replace, burgers(), domain=(-1.0, float("inf"))),
         partial(dataclasses.replace, burgers(), domain=(float("nan"), 1.0)),
+        # a mask of 9 points on a field of 8
+        partial(TimeStepState, 0.0, GridField(np.zeros(8), -1.0, 0.25),
+                DiscontinuityMask(np.zeros(9)), 1.0),
     ])
     def test_out_of_range_value_is_a_value_error(self, build):
         with pytest.raises(ValueError):
@@ -654,6 +657,11 @@ class TestMarch:
         with pytest.raises(ValueError, match="is not a multiple of dt"):
             step_count(0.5, dt)
 
+    def test_needs_an_initial_condition(self):
+        pde, disc, net, training = self.tiny_setup()
+        with pytest.raises(ValueError, match="march needs an initial condition"):
+            march(dataclasses.replace(pde, initial=None), disc, net, training, t_final=0.5)
+
     def test_eval_times_must_hit_steps(self):
         pde, disc, net, training = self.tiny_setup()
         with pytest.raises(ValueError):
@@ -681,10 +689,12 @@ class TestMarch:
         assert len(res.diagnostics) == 2
 
     def test_errors_reported_at_eval_times(self):
-        # unsorted and repeated times come back sorted, once each
+        # unsorted and repeated times come back sorted, once per step
+        # boundary: a time one ulp above 0.25 names the same boundary
         pde, disc, net, training = self.tiny_setup(dt=0.25)
         res = march(
-            pde, disc, net, training, t_final=0.5, eval_times=(0.5, 0.25, 0.5),
+            pde, disc, net, training, t_final=0.5,
+            eval_times=(0.5, np.nextafter(0.25, 1.0), 0.25, 0.5),
             reference=SolverConfig(pde, n_cells=64),
         )
         assert list(res.errors) == [0.25, 0.5]

@@ -211,6 +211,10 @@ class TestSolve:
         assert len(fields) == len(snapshots)
         assert len(built) <= len(snapshots) + 1
 
+    def test_needs_an_initial_condition(self):
+        with pytest.raises(ValueError, match="solver needs an initial condition"):
+            solve(SolverConfig(pde=linear_advection(), n_cells=64, t_final=0.5))
+
     def test_snapshot_validation(self):
         pde = burgers(0.0)
         with pytest.raises(ValueError):

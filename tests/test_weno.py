@@ -276,6 +276,17 @@ class TestWenoDerivative:
         with pytest.raises(ValueError):
             GridField(np.zeros(5), 0.0, 0.1)
 
+    @pytest.mark.parametrize("values,dx,message", [
+        (np.zeros((2, 8)), 0.1, "must be one-dimensional"),
+        (np.zeros(8), 0.0, "spacing must be positive"),
+        (np.zeros(8), -0.1, "spacing must be positive"),
+        (np.array([0.0] * 7 + [np.nan]), 0.1, "must be finite"),
+        (np.array([0.0] * 7 + [np.inf]), 0.1, "must be finite"),
+    ])
+    def test_grid_field_rejects(self, values, dx, message):
+        with pytest.raises(ValueError, match=message):
+            GridField(values, 0.0, dx)
+
     @settings(max_examples=150, deadline=None)
     @given(values=st.integers(7, 64).flatmap(
                lambda n: arrays(np.float64, n, elements=st.floats(-2.0, 2.0))),
