@@ -60,15 +60,13 @@ _Loader.add_implicit_resolver(
 _PDE, _DISC, _NET, _TRAIN = burgers(), Discretization(), NetworkConfig(), TrainingConfig()
 _REF = SolverConfig(_PDE)
 _DEFAULTS = {
-    "pde": {"viscosity": _PDE.viscosity, "domain": list(_PDE.domain),
-            "boundary_value": _PDE.boundary_value},
+    "pde": {"viscosity": _PDE.viscosity},
     "discretization": {"n_points": _DISC.n_points, "dt": _DISC.dt, "q_stages": _DISC.q_stages},
     "network": {"layers": _NET.hidden_layers, "width": _NET.width, "seed": _NET.seed},
     "training": {
         "learning_rate": _TRAIN.learning_rate,
         "tolerance": _TRAIN.loss_tolerance,
         "max_iterations": _TRAIN.max_iterations,
-        "warm_start": _TRAIN.warm_start,
         "loss_reduction": _TRAIN.loss_reduction,
     },
     "reference": {"n_cells": _REF.n_cells, "cfl": _REF.cfl},
@@ -139,7 +137,7 @@ class Experiment:
     training: TrainingConfig
     reference: SolverConfig  # its n_cells and cfl; march and cmd_reference set the rest
     t_final: float
-    profile_times: tuple
+    profile_times: tuple  # sorted, one per step boundary (`model.step_count`)
     out_dir: Path
     resolved: dict
 
@@ -154,15 +152,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     cfg = _merge(_DEFAULTS, raw or {})
 
-    domain = cfg["pde"]["domain"]
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise ConfigError("pde.domain: expected [left, right]")
-    pde = _checked(
-        "pde", dataclasses.replace, _PDE,
-        domain=tuple(_number(end, "pde.domain") for end in domain),
-        viscosity=_need_number(cfg, "pde.viscosity"),
-        boundary_value=_need_number(cfg, "pde.boundary_value"),
-    )
+    pde = _checked("pde", dataclasses.replace, _PDE, viscosity=_need_number(cfg, "pde.viscosity"))
 
     disc = _checked(
         "discretization", Discretization,
@@ -182,14 +172,11 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         seed=seed,
     )
 
-    if not isinstance(cfg["training"]["warm_start"], bool):
-        raise ConfigError("training.warm_start: expected true/false")
     training = _checked(
         "training", TrainingConfig,
         learning_rate=_need_number(cfg, "training.learning_rate"),
         loss_tolerance=_need_number(cfg, "training.tolerance"),
         max_iterations=_need_int(cfg, "training.max_iterations"),
-        warm_start=cfg["training"]["warm_start"],
         loss_reduction=cfg["training"]["loss_reduction"],
     )
 
@@ -197,9 +184,9 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     times = cfg["outputs"]["profile_times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("outputs.profile_times: expected a nonempty list")
-    profile_times = tuple(_number(t, "outputs.profile_times") for t in times)
+    profile_times = [_number(t, "outputs.profile_times") for t in times]
     _checked("outputs.t_final", step_count, t_final, disc.dt)
-    _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
+    _, steps = _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
     reference = _checked(
         "reference", SolverConfig, pde=pde,
@@ -215,7 +202,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         training=training,
         reference=reference,
         t_final=t_final,
-        profile_times=profile_times,
+        profile_times=tuple(steps.values()),
         out_dir=out_dir,
         resolved=cfg,
     )

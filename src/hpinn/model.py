@@ -92,7 +92,6 @@ class TrainingConfig:
     learning_rate: float = 1e-4
     loss_tolerance: float = 1e-5
     max_iterations: int = 200_000
-    warm_start: bool = True
     loss_reduction: str = "mean"  # "mean" (stopping rule scale) or "sum" (raw)
 
     def __post_init__(self):
@@ -199,8 +198,8 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
     the tableau, row i (i <= q) is u^{n+c_i} + dt sum_j a_ij N_j and the last
     row u^{n+1} + dt sum_j b_j N_j, and every row should match the datum u^n.
     L_PDE averages the squared mismatch over all points and all q+1 rows,
-    L_BC the squared stage outputs against the Dirichlet value at both ends;
-    "sum" keeps the raw sums of the discrete-time formulation instead.
+    L_BC the squared stage outputs at both walls, which hold 0; "sum" keeps
+    the raw sums of the discrete-time formulation instead.
 
     Returns (total, l_pde, l_bc); the last two are leaves outside the graph
     that every refresh of `total` rewrites.  The VJP takes f''(u) from
@@ -210,9 +209,9 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
     """
     q, n = tableau.q, len(state.data)
     mix = np.vstack([tableau.a, tableau.b[None, :]]) * disc.dt
-    data, nu, bv = state.data.values, pde.viscosity, pde.boundary_value
+    data, nu = state.data.values, pde.viscosity
     weno = None if state.mask.count() == 0 else SparseWenoZ(
-        state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx, bv)
+        state.mask.flags, pde.flux, pde.dflux, state.lam, state.data.dx)
     reduce = np.mean if reduction == "mean" else np.sum
     ends = (0, n - 1)
     l_pde, l_bc = Value(0.0, label="l_pde"), Value(0.0, label="l_bc")
@@ -229,7 +228,7 @@ def loss_node(stages: Value, state: TimeStepState, tableau: ButcherTableau, pde:
         diff = mix @ resid
         diff += jet[0]
         diff -= data
-        bdiff = jet[0][..., ends] - bv
+        bdiff = jet[0][..., ends]
         l_pde.data, l_bc.data = reduce(diff * diff), reduce(bdiff * bdiff)
         tape[:] = speed, diff, bdiff
         return l_pde.data + l_bc.data
@@ -343,8 +342,10 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     return params, u_next, diag
 
 
-def step_count(t_final: float, dt: float, eval_times=()) -> int:
-    """The number of steps of `dt` that reach `t_final`.
+def step_count(t_final: float, dt: float, eval_times=()):
+    """The number of steps of `dt` that reach `t_final`, and the eval times
+    by step boundary: (n_steps, {k: t}), sorted, each boundary k keeping the
+    smallest float that names it.
 
     Raises ValueError unless t_final is a multiple of dt and every eval time
     is a step boundary in (0, t_final]: the march trains nothing to compare
@@ -353,11 +354,13 @@ def step_count(t_final: float, dt: float, eval_times=()) -> int:
     n_steps = int(round(t_final / dt)) if dt > 0.0 else 0
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-12:
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
-    for t in eval_times:
+    steps = {}
+    for t in sorted(map(float, eval_times)):
         k = int(round(t / dt))
         if not 1 <= k <= n_steps or abs(k * dt - t) > 1e-9:
             raise ValueError(f"eval time {t} does not land on a step boundary in (0, {t_final}]")
-    return n_steps
+        steps.setdefault(k, t)
+    return n_steps, steps
 
 
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
@@ -367,33 +370,29 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     """March from the exact initial condition to t_final, one trained step at
     a time, and report global relative errors against the reference solver.
 
-    Every step re-freezes the mask and lam from the current data; by default
-    each step warm-starts from the previous step's trained parameters.  The
-    network gets q+1 outputs whatever `net_config.outputs` says.  `reference`
-    sets the solver's n_cells and cfl (SolverConfig's defaults when None); its
-    pde, t_final and snapshot times are this march's.  The reference is solved
-    before the first step, so a reference the solver cannot run costs no
-    training.  `eval_times` are checked by `step_count`, sorted and merged
-    by step boundary, each boundary keeping the smallest float that names it.
-    At each, the reference is put once onto the prediction's grid, and both
-    the error and `MarchResult.reference` come from that one array.
+    Every step re-freezes the mask and lam from the current data and
+    warm-starts from the previous step's trained parameters.  The network
+    gets q+1 outputs whatever `net_config.outputs` says.  `reference` sets
+    the solver's n_cells and cfl (SolverConfig's defaults when None); its
+    pde, t_final and snapshot times are this march's.  The reference is
+    solved before the first step, so a reference the solver cannot run costs
+    no training.  `step_count` checks `eval_times`, sorts them and merges
+    them by step boundary.  At each, the reference is put once onto the
+    prediction's grid, and both the error and `MarchResult.reference` come
+    from that one array.
     """
     if pde.initial is None:
         raise ValueError("march needs an initial condition on the PdeSpec")
-    eval_times = sorted(map(float, eval_times))
-    n_steps = step_count(t_final, disc.dt, eval_times)
-    steps = {}  # step boundary k -> the smallest eval time naming it
-    for t in eval_times:
-        steps.setdefault(round(t / disc.dt), t)
+    n_steps, steps = step_count(t_final, disc.dt, eval_times)
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
     snapshots = []
     if steps:
+        times = tuple(steps.values())
         _, snapshots = solve(replace(
-            reference or SolverConfig(pde), pde=pde,
-            t_final=eval_times[-1], snapshot_times=tuple(steps.values()),
+            reference or SolverConfig(pde), pde=pde, t_final=times[-1], snapshot_times=times,
         ))
 
     x, dx = pde.grid(disc.n_points)
@@ -402,8 +401,6 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     params = init_xavier(net_config)
     diagnostics = []
     for n in range(n_steps):
-        if n > 0 and not training.warm_start:
-            params = init_xavier(replace(net_config, seed=net_config.seed + n))
         state = step_state(fields[-1], n * disc.dt, pde, disc)
         params, u_next, diag = train_step(
             state, params, tableau, pde, disc, training, step_index=n

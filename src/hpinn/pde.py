@@ -2,11 +2,12 @@
 
     u_t + f(u)_x = nu * u_xx
 
-on an interval with Dirichlet boundaries.  ``flux``/``dflux``/``ddflux`` (f,
-f' and f'') are written as plain arithmetic.  The package applies them to
-real ndarrays only; the training loss's gradient takes f''(u) from
-``ddflux``, which may return a scalar for a constant f''.  The tests' oracle
-applies them to autodiff graph nodes too.
+on an interval whose Dirichlet walls hold u = 0, so u(0, x) must vanish there
+(Burgers' -sin(pi x) on [-1, 1] does).  ``flux``/``dflux``/``ddflux`` (f, f'
+and f'') are written as plain arithmetic.  The package applies them to real
+ndarrays only; the training loss's gradient takes f''(u) from ``ddflux``,
+which may return a scalar for a constant f''.  The tests' oracle applies them
+to autodiff graph nodes too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class PdeSpec:
     ddflux: Callable  # f''(u), an array or a scalar
     viscosity: float = 0.0
     domain: tuple = (-1.0, 1.0)
-    boundary_value: float = 0.0  # Dirichlet value at both ends
     initial: Optional[Callable] = None  # u(0, x)
 
     def __post_init__(self):

@@ -5,9 +5,8 @@ The convection term is `weno.weno_derivative`, which runs the same WENO-Z
 kernel as the training loss's sparse branch, on every interface.  The
 stepping functions work on plain arrays of grid values plus the spacing `dx`;
 the grid is `PdeSpec.grid(n_cells)`, the one the training grid also uses, and
-both walls hold `pde.boundary_value`.  Generates the fine-grid solutions the
-hybrid model is measured against and provides the global relative error
-metric.
+both walls hold 0.  Generates the fine-grid solutions the hybrid model is
+measured against and provides the global relative error metric.
 """
 
 from __future__ import annotations
@@ -57,21 +56,22 @@ class SolverConfig:
         return self.pde.grid(self.n_cells)
 
 
-def _ghosts(u: np.ndarray, value: float) -> np.ndarray:
-    """`u` with GHOST cells each side, mirrored oddly about the wall value.
+def _ghosts(u: np.ndarray) -> np.ndarray:
+    """`u` with GHOST cells each side, mirrored oddly about the wall value 0.
 
-    ghost = 2*value - interior is the exact continuation of a pinned
-    Dirichlet wall; holding the value itself would be only first-order there
-    and let boundary error dominate fine-grid runs.
+    ghost = -interior is the exact continuation of a pinned Dirichlet wall;
+    holding 0 itself would be only first-order there and let boundary error
+    dominate fine-grid runs.  It is written 0.0 - interior, so a zero cell's
+    ghost is +0.0, not -0.0.
     """
-    left = 2.0 * value - u[GHOST:0:-1]
-    right = 2.0 * value - u[-2 : -GHOST - 2 : -1]
+    left = 0.0 - u[GHOST:0:-1]
+    right = 0.0 - u[-2 : -GHOST - 2 : -1]
     return np.concatenate([left, u, right])
 
 
 def rhs(u: np.ndarray, dx: float, pde: PdeSpec) -> np.ndarray:
     """-f(u)_x + nu*u_xx with WENO-Z convection and central diffusion."""
-    ue = _ghosts(u, pde.boundary_value)
+    ue = _ghosts(u)
     lam = LAMBDA_SAFETY * pde.max_speed(u)
     out = -weno_derivative(ue, pde.flux, lam, dx)
     if pde.viscosity > 0.0:

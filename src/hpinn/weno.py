@@ -227,11 +227,11 @@ def _wenoz_vjp(g, tape):
 class SparseWenoZ:
     """WENO-Z f(u)_x at a fixed set of grid points, with a hand-written VJP.
 
-    Construction fixes, once per frozen mask, the flagged points and the
-    window of cells their stencils read: grid cells first - GHOST .. last +
-    GHOST, with `boundary_value` in the cells beyond each wall.  A call
-    copies u's window and runs `_weno_dx` on it, so each value is bit for bit
-    `weno_derivative`'s from the field padded with `boundary_value`.  The
+    Construction fixes, once per frozen mask (which must flag a point), the
+    flagged points and the window of cells their stencils read: grid cells
+    first - GHOST .. last + GHOST, with the wall value 0 in the cells beyond
+    each wall.  A call copies u's window and runs `_weno_dx` on it, so each
+    value is bit for bit `weno_derivative`'s from the zero-padded field.  The
     window holds one cell per row and the rows of u along the last axis, so
     each copy moves whole rows.  Between two flagged runs the window computes
     unflagged points too; a mask with one run, as one shock gives, has none.
@@ -239,24 +239,20 @@ class SparseWenoZ:
     in the order m = 0 .. 5.
     """
 
-    def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
-                 boundary_value: float = 0.0):
+    def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float):
         self.points = points = np.flatnonzero(flags)
         self._n = n = len(flags)
-        first, stop = (points[0] - GHOST, points[-1] + GHOST + 1) if points.size else (0, 0)
+        first, stop = points[0] - GHOST, points[-1] + GHOST + 1
         self._width = stop - first
         # the window's cells on the grid, and where they sit in the window
         self._cells = slice(max(first, 0), min(stop, n))
         self._inner = slice(self._cells.start - first, self._cells.stop - first)
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
-        self.boundary_value = boundary_value
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
-        if not self.points.size:
-            return np.zeros(u.shape[:-1] + (0,))
         rows = u.reshape(-1, self._n)
-        window = np.full((self._width, len(rows)), self.boundary_value)
+        window = np.zeros((self._width, len(rows)))
         window[self._inner] = rows[:, self._cells].T
         d, tape = _weno_dx(window, self.flux_fn, self.lam, self.dx)
         self._tape = (window, tape)
@@ -264,8 +260,6 @@ class SparseWenoZ:
 
     def vjp(self, grad: np.ndarray) -> np.ndarray:
         """Gradient on u (..., n) of <grad, self(u)> at the last call's u."""
-        if not self.points.size:
-            return np.zeros(grad.shape[:-1] + (self._n,))
         window, tape = self._tape
         width, rows = window.shape
         ifaces = width - 2 * GHOST + 1
@@ -342,7 +336,7 @@ def discontinuity_flags(u: GridField) -> DiscontinuityMask:
 
     Flags are evaluated only where the full stencil fits inside the domain
     (j in [2, n-4]); the remaining boundary points stay 0.  There is no
-    off-domain data to pad with, and padding with the boundary value would
+    off-domain data to pad with, and padding with the wall value would
     manufacture a kink that flags smooth fields at the wall.
     """
     f = u.values

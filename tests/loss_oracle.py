@@ -92,7 +92,7 @@ def hybrid_convection(stages: Jet, mask, pde, lam: float, dx: float) -> Value:
     conv_ad = pde.dflux(stages.u) * stages.dx
     if mask.count() == 0:
         return conv_ad
-    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx, pde.boundary_value)
+    weno = SparseWenoZ(mask.flags, pde.flux, pde.dflux, lam, dx)
     points = weno.points
 
     def forward(conv, u):
@@ -143,21 +143,20 @@ def stage_targets(stage_values: Value, residuals: Value, tableau, dt: float) -> 
 
 
 def compute_loss(targets: Value, stage_values: Value, data: np.ndarray,
-                 boundary_value: float, reduction: str = "mean"):
+                 reduction: str = "mean"):
     """L = L_PDE + L_BC as graph nodes.
 
     L_PDE averages the squared target-vs-data mismatch over all collocation
-    points and all q+1 targets; L_BC averages the squared stage outputs
-    against the Dirichlet value at both endpoints.  "sum" keeps the raw sums
-    of the discrete-time formulation instead.
+    points and all q+1 targets; L_BC averages the squared stage outputs at
+    both walls, which hold 0.  "sum" keeps the raw sums of the discrete-time
+    formulation instead.
     """
     reduce = mean if reduction == "mean" else ad.summation
     n = data.shape[0]
     diff = targets - Value(data, label="data")
     l_pde = reduce(diff * diff)
     bvals = take_cols(stage_values, (0, n - 1))
-    bdiff = bvals - boundary_value if boundary_value != 0.0 else bvals
-    l_bc = reduce(bdiff * bdiff)
+    l_bc = reduce(bvals * bvals)
     total = l_pde + l_bc
     return total, l_pde, l_bc
 
@@ -174,6 +173,5 @@ def loss_graph(params, state, tableau, pde, disc, reduction="mean",
     jet = forward(params, state.data.x, order)
     resid = residual_operator(jet, state.mask, pde, state.lam, state.data, tableau, convection)
     targets = stage_targets(jet.u, resid, tableau, disc.dt)
-    total, l_pde, l_bc = compute_loss(targets, jet.u, state.data.values, pde.boundary_value,
-                                      reduction)
+    total, l_pde, l_bc = compute_loss(targets, jet.u, state.data.values, reduction)
     return Graph(total), (total, l_pde, l_bc), jet

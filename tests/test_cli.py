@@ -58,6 +58,10 @@ class TestConfigErrors:
         ("discretization", {"indicator": {"power": 6}}, "discretization.indicator"),
         ("discretization", {"indicator": {"threshold": 5e-4}}, "discretization.indicator"),
         ("discretization", {"mask_dilation": 3}, "discretization.mask_dilation"),
+        # the walls hold 0, the domain is [-1, 1] and every step warm-starts
+        ("pde", {"boundary_value": 0.0}, "pde.boundary_value"),
+        ("pde", {"domain": [-1.0, 1.0]}, "pde.domain"),
+        ("training", {"warm_start": True}, "training.warm_start"),
     ])
     def test_keys_without_a_setting_are_unknown(self, tmp_path, capsys, section, fields, where):
         path = write_config(tmp_path, {section: fields})
@@ -97,8 +101,8 @@ class TestConfigErrors:
          "outputs.profile_times: expected a number, got 'abc'"),
         ({"outputs": {"t_final": 1.0, "profile_times": [-0.5, 1.0]}}, [],
          "outputs.profile_times: eval time -0.5 does not land on a step boundary"),
-        ({"pde": {"domain": [1.0, -1.0]}}, [], "pde: domain must be a nonempty interval"),
-        ({"pde": {"domain": ["a", 1]}}, [], "pde.domain: expected a number, got 'a'"),
+        ({"pde": {"viscosity": -0.1}}, [], "pde: viscosity must be finite and nonnegative"),
+        ({"pde": {"viscosity": "a"}}, [], "pde.viscosity: expected a number, got 'a'"),
         ({"discretization": {"q_stages": 101}}, [],
          "discretization.q_stages: stage count must be in [1, 100], got 101"),
         ({"network": {"seed": -1}}, [], "network: seed must be nonnegative, got -1"),
@@ -108,8 +112,10 @@ class TestConfigErrors:
          "outputs.profile_times: eval time 0.0 does not land on a step boundary in (0, 0.5]"),
         ({"training": {"loss_reduction": "median"}}, [],
          "training: loss_reduction must be 'mean' or 'sum'"),
-        ({"pde": {"domain": [0.0]}}, [], "pde.domain: expected [left, right]"),
-        ({"training": {"warm_start": 1}}, [], "training.warm_start: expected true/false"),
+        ({"outputs": {"profile_times": 0.5}}, [],
+         "outputs.profile_times: expected a nonempty list"),
+        ({"discretization": {"dt": 0.0}}, [],
+         "discretization: dt must be finite and positive, got 0.0"),
         ({"outputs": {"profile_times": []}}, [],
          "outputs.profile_times: expected a nonempty list"),
     ])
@@ -161,7 +167,7 @@ class TestConfigErrors:
         ("training", {"tolerance": float("nan")}, "training.tolerance"),
         ("pde", {"viscosity": float("nan")}, "pde.viscosity"),
         ("training", {"learning_rate": float("inf")}, "training.learning_rate"),
-        ("pde", {"domain": [-1.0, float("inf")]}, "pde.domain"),
+        ("reference", {"cfl": float("nan")}, "reference.cfl"),
         ("outputs", {"t_final": float("inf")}, "outputs.t_final"),
     ])
     def test_non_finite_number_names_path(self, tmp_path, capsys, section, fields, where):
@@ -194,11 +200,11 @@ class TestConfigErrors:
         # YAML 1.2 floats; PyYAML's YAML 1.1 resolver reads them as strings
         path = tmp_path / "exp.yaml"
         path.write_text("training: {tolerance: 2e-5, learning_rate: 3E-4}\n"
-                        "pde: {domain: [-1e0, 1e0]}\n")
+                        "pde: {viscosity: +1e-2}\n")
         exp = cli.load_config(path)
         assert exp.training.loss_tolerance == 2e-5
         assert exp.training.learning_rate == 3e-4
-        assert exp.pde.domain == (-1.0, 1.0)
+        assert exp.pde.viscosity == 0.01
 
     def test_quoted_exponent_literal_stays_a_string(self, tmp_path, capsys):
         path = tmp_path / "quoted.yaml"
@@ -307,9 +313,22 @@ class TestReference:
         assert lines[0] == "x,u"
         assert len(lines) == 1 + 64  # one row per reference cell
 
-    def test_non_finite_solve_exits_3(self, tmp_path, capsys):
-        # the boundary ghosts' flux overflows in the first step
-        path = write_config(tmp_path, {"pde": {"boundary_value": 1.0e200}})
+    def test_one_profile_per_step_boundary(self, tmp_path, capsys):
+        # two floats naming one step boundary: one line, one file, at the smaller
+        path = write_config(tmp_path, {"outputs": {"profile_times": [
+            float(np.nextafter(0.5, 1.0)), 0.5]}})
+        out = tmp_path / "ref"
+        assert cli.main(["reference", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["reference profile written for t=0.5"]
+        assert [f.name for f in out.iterdir()] == ["reference_t0.5.csv"]
+
+    def test_non_finite_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the flux of an initial condition scaled by 1e200 overflows in the first step
+        pde = cli._PDE
+        monkeypatch.setattr(cli, "_PDE", dataclasses.replace(
+            pde, initial=lambda x: 1.0e200 * pde.initial(x)))
+        path = write_config(tmp_path)
         code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 3
         err = capsys.readouterr().err

@@ -46,12 +46,19 @@ def linear_advection(initial=None):
 
 class TestGhosts:
     def test_reflect_odd(self):
-        out = _ghosts(np.array([0.0, 1.0, 2.0, 3.0]), 0.0)
+        out = _ghosts(np.array([0.0, 1.0, 2.0, 3.0]))
         assert np.array_equal(out, [-3, -2, -1, 0, 1, 2, 3, -2, -1, 0])
 
     def test_reflect_odd_about_value(self):
-        out = _ghosts(np.array([1.0, 2.0, 3.0, 4.0]), 1.0)
-        assert np.array_equal(out, [-2, -1, 0, 1, 2, 3, 4, -1, 0, 1])
+        # about the wall value 0 at each wall: the padded field is odd there
+        u = np.concatenate([[0.0], np.random.default_rng(0).normal(size=6), [0.0]])
+        out = _ghosts(u)
+        left, right = 3, len(out) - 4  # the wall cells
+        for k in range(1, 4):
+            assert out[left - k] == -out[left + k]
+            assert out[right + k] == -out[right - k]
+        # written 0.0 - u: a zero cell's ghost is +0.0
+        assert not np.signbit(_ghosts(np.zeros(8))).any()
 
 
 class TestRhs:

@@ -105,17 +105,16 @@ class SparseWenoZ:
 
     Construction fixes, once per frozen mask, the flagged points, the
     interfaces they difference (x_{j-1/2} and x_{j+1/2}) and the six
-    ghost-padded columns each interface reads; ghosts hold `boundary_value`.
+    ghost-padded columns each interface reads; ghosts hold the wall value 0.
     A call runs the `_wenoz` kernel on those interfaces alone, so each value
     is bit for bit the one `weno_derivative` gives at that point from the
-    field padded with `boundary_value`, the two sharing `EPS`.  `vjp`
+    zero-padded field, the two sharing `EPS`.  `vjp`
     differentiates the
     candidate fluxes, the Jiang-Shu indicators, tau5 and the WENO-Z weights
     by hand (`_wenoz_vjp`), from what the last call kept.
     """
 
-    def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float,
-                 boundary_value: float = 0.0):
+    def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float):
         n = len(flags)
         self.points = np.flatnonzero(flags)
         # f_hat index k is the interface x_{k-1/2}: point j differences k = j, j + 1
@@ -128,7 +127,6 @@ class SparseWenoZ:
         self._ghost = (src < 0) | (src >= n)
         self._n = n
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
-        self.boundary_value = boundary_value
         self._tape = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -136,7 +134,7 @@ class SparseWenoZ:
         if not self.points.size:
             return np.zeros(u.shape[:-1] + (0,))
         ue = u[..., self._src]  # (..., 6, interfaces)
-        ue[..., self._ghost] = self.boundary_value
+        ue[..., self._ghost] = 0.0
         fp, fm = split_flux(ue, self.flux_fn, self.lam)
         # both upwind sides at once: f+ left-biased, f- mirrored about x_{k-1/2}
         sides = np.stack((fp[..., :5, :], fm[..., 5:0:-1, :]))
@@ -227,7 +225,7 @@ def dense_convection(stages, mask, pde, lam, dx):
     term blended with weight 1.
     """
     conv_ad = pde.dflux(stages.u) * stages.dx
-    ue = pad_const(stages.u, 3, 3, pde.boundary_value)
+    ue = pad_const(stages.u, 3, 3, 0.0)
     fp, fm = split_flux(ue, pde.flux, lam)
     conv_weno = weno_flux_divergence(fp, fm, len(mask), dx, win=window)
     m = mask.flags.astype(np.float64)
