@@ -62,6 +62,12 @@ class TestConfigErrors:
         ("pde", {"boundary_value": 0.0}, "pde.boundary_value"),
         ("pde", {"domain": [-1.0, 1.0]}, "pde.domain"),
         ("training", {"warm_start": True}, "training.warm_start"),
+        # a reversed, non-numeric, one-ended or infinite domain is unknown
+        # before it is malformed
+        ("pde", {"domain": [1.0, -1.0]}, "pde.domain"),
+        ("pde", {"domain": ["a", 1]}, "pde.domain"),
+        ("pde", {"domain": [0.0]}, "pde.domain"),
+        ("pde", {"domain": [-1.0, float("inf")]}, "pde.domain"),
     ])
     def test_keys_without_a_setting_are_unknown(self, tmp_path, capsys, section, fields, where):
         path = write_config(tmp_path, {section: fields})
