@@ -193,8 +193,10 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         n_cells=_need_int(cfg, "reference.n_cells"), cfl=_need_number(cfg, "reference.cfl"),
     )
 
-    out_dir = Path(out_override) if out_override is not None else Path(cfg["outputs"]["directory"])
-    cfg["outputs"]["directory"] = str(out_dir)
+    out_dir = cfg["outputs"]["directory"] if out_override is None else str(out_override)
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"outputs.directory: expected a path string, got {out_dir!r}")
+    cfg["outputs"]["directory"] = str(Path(out_dir))
     return Experiment(
         pde=pde,
         disc=disc,
@@ -203,7 +205,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         reference=reference,
         t_final=t_final,
         profile_times=tuple(steps.values()),
-        out_dir=out_dir,
+        out_dir=Path(out_dir),
         resolved=cfg,
     )
 

@@ -367,7 +367,7 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
           reference: Optional[SolverConfig] = None,
           on_step: Optional[Callable] = None) -> MarchResult:
-    """March from the exact initial condition to t_final, one trained step at
+    """March from `pde.initial_field(disc.n_points)` to t_final, one trained step at
     a time, and report global relative errors against the reference solver.
 
     Every step re-freezes the mask and lam from the current data and
@@ -381,8 +381,6 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     prediction's grid, and both the error and `MarchResult.reference` come
     from that one array.
     """
-    if pde.initial is None:
-        raise ValueError("march needs an initial condition on the PdeSpec")
     n_steps, steps = step_count(t_final, disc.dt, eval_times)
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
@@ -395,8 +393,7 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             reference or SolverConfig(pde), pde=pde, t_final=times[-1], snapshot_times=times,
         ))
 
-    x, dx = pde.grid(disc.n_points)
-    fields = [GridField(pde.initial(x), pde.domain[0], dx)]
+    fields = [pde.initial_field(disc.n_points)]
 
     params = init_xavier(net_config)
     diagnostics = []

@@ -2,12 +2,12 @@
 
     u_t + f(u)_x = nu * u_xx
 
-on an interval whose Dirichlet walls hold u = 0, so u(0, x) must vanish there
-(Burgers' -sin(pi x) on [-1, 1] does).  ``flux``/``dflux``/``ddflux`` (f, f'
-and f'') are written as plain arithmetic.  The package applies them to real
-ndarrays only; the training loss's gradient takes f''(u) from ``ddflux``,
-which may return a scalar for a constant f''.  The tests' oracle applies them
-to autodiff graph nodes too.
+on [-1, 1], whose Dirichlet walls hold u = 0, so u(0, x) must vanish there
+(Burgers' -sin(pi x) does); ``initial_field`` samples it on the one grid.
+``flux``/``dflux``/``ddflux`` (f, f' and f'') are written as plain arithmetic.
+The package applies them to real ndarrays only; the training loss's gradient
+takes f''(u) from ``ddflux``, which may return a scalar for a constant f''.
+The tests' oracle applies them to autodiff graph nodes too.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .weno import GridField
+
 __all__ = ["PdeSpec", "burgers"]
 
 
@@ -27,23 +29,21 @@ class PdeSpec:
     dflux: Callable  # f'(u), the characteristic speed
     ddflux: Callable  # f''(u), an array or a scalar
     viscosity: float = 0.0
-    domain: tuple = (-1.0, 1.0)
     initial: Optional[Callable] = None  # u(0, x)
 
     def __post_init__(self):
         if not 0.0 <= self.viscosity < math.inf:
             raise ValueError("viscosity must be finite and nonnegative")
-        if not -math.inf < self.domain[0] < self.domain[1] < math.inf:
-            raise ValueError("domain must be a nonempty interval with finite ends")
 
     def max_speed(self, u: np.ndarray) -> float:
         return float(np.max(np.abs(self.dflux(u))))
 
-    def grid(self, n: int):
-        """n points from one wall to the other, both walls included, and dx."""
-        x_left, x_right = self.domain
-        dx = (x_right - x_left) / (n - 1)
-        return x_left + dx * np.arange(n), dx
+    def initial_field(self, n: int) -> GridField:
+        """u(0, x) at n points from the wall at -1 to the wall at 1, both included."""
+        if self.initial is None:
+            raise ValueError("the PdeSpec has no initial condition")
+        dx = 2.0 / (n - 1)
+        return GridField(self.initial(-1.0 + dx * np.arange(n)), -1.0, dx)
 
 
 # Burgers' functions are module-level, so its spec pickles.

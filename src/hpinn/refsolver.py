@@ -4,7 +4,7 @@ TVD Runge-Kutta in time, explicit viscous term by central differences.
 The convection term is `weno.weno_derivative`, which runs the same WENO-Z
 kernel as the training loss's sparse branch, on every interface.  The
 stepping functions work on plain arrays of grid values plus the spacing `dx`;
-the grid is `PdeSpec.grid(n_cells)`, the one the training grid also uses, and
+the start is `PdeSpec.initial_field(n_cells)`, on the training's grid, and
 both walls hold 0.  Generates the fine-grid solutions the hybrid model is
 measured against and provides the global relative error metric.
 """
@@ -50,10 +50,6 @@ class SolverConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
-
-    def grid(self):
-        """n_cells points from one wall to the other, both walls included."""
-        return self.pde.grid(self.n_cells)
 
 
 def _ghosts(u: np.ndarray) -> np.ndarray:
@@ -105,7 +101,7 @@ def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
 
 
 def solve(config: SolverConfig, monitor=None):
-    """March u(0,x) to t_final, landing exactly on every snapshot time.
+    """March `pde.initial_field(n_cells)` to t_final, landing on every snapshot time.
 
     Returns (times, fields) for the requested snapshot_times (t_final is
     appended if no snapshots are given).  `monitor(t, u)` is called with the
@@ -113,11 +109,8 @@ def solve(config: SolverConfig, monitor=None):
     invalid raises FloatingPointError naming the solver time it started from.
     """
     pde = config.pde
-    if pde.initial is None:
-        raise ValueError("solver needs an initial condition on the PdeSpec")
-    x, dx = config.grid()
-    x0 = float(x[0])
-    u = GridField(pde.initial(x), x0, dx).values
+    start = pde.initial_field(config.n_cells)
+    u, x0, dx = start.values, start.x0, start.dx
 
     wanted = sorted(set(float(t) for t in config.snapshot_times)) or [config.t_final]
     if any(t < 0.0 or t > config.t_final + 1e-12 for t in wanted):

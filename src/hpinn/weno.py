@@ -352,9 +352,7 @@ def discontinuity_flags(u: GridField) -> DiscontinuityMask:
 
 
 def dilate_mask(mask: DiscontinuityMask, radius: int) -> DiscontinuityMask:
-    """Grow flagged regions by `radius` cells on each side."""
-    if radius <= 0 or mask.count() == 0:
-        return DiscontinuityMask(mask.flags.copy())
+    """Grow flagged regions by `radius` >= 0 cells on each side (no caller passes less)."""
     # full[j + radius] counts the flags within `radius` of j, whatever the grid size
     full = np.convolve(mask.flags.astype(np.float64), np.ones(2 * radius + 1))
     grown = full[radius : radius + len(mask)] > 0.5

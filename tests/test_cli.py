@@ -74,6 +74,15 @@ class TestConfigErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"{where}: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory", [5, None, True, ["a", "b"], {"x": 1}])
+    def test_non_string_output_directory_names_path(self, tmp_path, capsys, directory):
+        path = write_config(tmp_path, {"outputs": {"directory": directory}})
+        assert cli.main(["reference", "--config", str(path)]) == 2
+        want = f"config error: outputs.directory: expected a path string, got {directory!r}"
+        assert want in capsys.readouterr().err
+        # --out replaces the key unread, as --seed does network.seed
+        assert cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+
     def test_bad_type_names_path(self, tmp_path, capsys):
         path = write_config(tmp_path, {"discretization": {"dt": "soon"}})
         code = cli.main(["run", "--config", str(path)])
@@ -270,9 +279,10 @@ class TestRun:
         exp = cli.load_config(path)
         _, snapshots = solve(dataclasses.replace(
             exp.reference, t_final=0.5, snapshot_times=(0.25, 0.5)))
+        grid = exp.pde.initial_field(exp.disc.n_points)
         for t, snapshot in zip((0.25, 0.5), snapshots):
             profile = np.loadtxt(out / f"profile_t{t:g}.csv", delimiter=",", skiprows=1)
-            pred = GridField(profile[:, 1], exp.pde.domain[0], exp.pde.grid(48)[1])
+            pred = GridField(profile[:, 1], grid.x0, grid.dx)
             assert np.array_equal(profile[:, 0], pred.x)
             assert np.array_equal(profile[:, 2], reference_on_grid(snapshot, pred))
 

@@ -39,7 +39,6 @@ def linear_advection(initial=None):
         dflux=lambda u: np.ones_like(u) if isinstance(u, np.ndarray) else 1.0,
         ddflux=lambda u: 0.0,
         viscosity=0.0,
-        domain=(-1.0, 1.0),
         initial=initial,
     )
 
@@ -81,7 +80,6 @@ class TestRhs:
                 dflux=lambda u: np.zeros_like(u),
                 ddflux=lambda u: 0.0,
                 viscosity=0.5,
-                domain=(-1.0, 1.0),
             )
             out = rhs(np.sin(np.pi * x), x[1] - x[0], pde)
             exact = -0.5 * np.pi**2 * np.sin(np.pi * x)
@@ -219,7 +217,7 @@ class TestSolve:
         assert len(built) <= len(snapshots) + 1
 
     def test_needs_an_initial_condition(self):
-        with pytest.raises(ValueError, match="solver needs an initial condition"):
+        with pytest.raises(ValueError, match="the PdeSpec has no initial condition"):
             solve(SolverConfig(pde=linear_advection(), n_cells=64, t_final=0.5))
 
     def test_snapshot_validation(self):
