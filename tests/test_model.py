@@ -598,8 +598,10 @@ class TestSettingTypes:
         partial(TrainingConfig, max_iterations=0),
         partial(TrainingConfig, learning_rate=float("inf")),
         partial(TrainingConfig, loss_tolerance=float("nan")),
+        partial(TrainingConfig, loss_reduction="median"),
         partial(burgers, float("nan")),
         partial(burgers, float("inf")),
+        partial(burgers, -0.01),
         # a mask of 9 points on a field of 8
         partial(TimeStepState, 0.0, GridField(np.zeros(8), -1.0, 0.25),
                 DiscontinuityMask(np.zeros(9)), 1.0),
