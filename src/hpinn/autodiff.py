@@ -212,9 +212,9 @@ class Graph:
 class Jet(NamedTuple):
     """A value u and its spatial derivatives u_x, u_xx as live graph nodes.
 
-    A slot holding None is not tracked: u_x below derivative order 1, u_xx
-    below order 2.  ``network.forward_stages`` builds jets as slot reads of
-    its last layer's stacked node; everything downstream only reads them.
+    u_xx is None at derivative order 1; the network's jets always carry u_x.
+    ``network.forward_stages`` builds jets as slot reads of its last layer's
+    stacked node; everything downstream only reads them.
     """
 
     u: Value

@@ -193,9 +193,11 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         n_cells=_need_int(cfg, "reference.n_cells"), cfl=_need_number(cfg, "reference.cfl"),
     )
 
-    out_dir = cfg["outputs"]["directory"] if out_override is None else str(out_override)
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"outputs.directory: expected a path string, got {out_dir!r}")
+    out_dir, where = cfg["outputs"]["directory"], "outputs.directory"
+    if out_override is not None:
+        out_dir, where = str(out_override), "--out"
+    if not isinstance(out_dir, str) or not out_dir:  # Path("") is the current directory
+        raise ConfigError(f"{where}: expected a path string, got {out_dir!r}")
     cfg["outputs"]["directory"] = str(Path(out_dir))
     return Experiment(
         pde=pde,

@@ -83,24 +83,24 @@ def init_xavier(config: NetworkConfig) -> NetworkParameters:
     return NetworkParameters(config, weights, biases)
 
 
-def stacked_stages(params: NetworkParameters, x, order: int = 0) -> Value:
+def stacked_stages(params: NetworkParameters, x, order: int) -> Value:
     """The last layer's node: the stacked stage jet (order+1, q+1, N) over x.
 
     Row 0 holds the q+1 stage values at the points of x (a scalar or 1-D
-    batch); with order >= 1 row 1 holds their derivatives u_x, and with order 2
-    row 2 holds u_xx, all differentiable with respect to the parameters.
+    batch) and row 1 their derivatives u_x; at order 2 row 2 holds u_xx.  All
+    are differentiable with respect to the parameters.  Order is 1 or 2.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
     # the input jet (x, dx/dx = 1) is a constant; x has no curvature
-    h = np.stack([xv] if order == 0 else [xv, np.ones_like(xv)])
+    h = np.stack([xv, np.ones_like(xv)])
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = _dense_layer(w, b, h, order, activate=k < last)
     return h
 
 
-def forward_stages(params: NetworkParameters, x, order: int = 0) -> Jet:
-    """`stacked_stages` as a Jet of (q+1, N) slot reads of the last layer."""
+def forward_stages(params: NetworkParameters, x, order: int) -> Jet:
+    """`stacked_stages` as a Jet of (q+1, N) slot reads; u_xx is None at order 1."""
     h = stacked_stages(params, x, order)
     return Jet(*(slot(h, i) for i in range(order + 1)))
 
@@ -133,15 +133,14 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
         s = np.multiply(y, y, out=z[0])  # z[0] is dead: it holds s
         np.subtract(1.0, s, out=s)
         ysdx = None
-        if order >= 1:
-            sdx = np.multiply(s, z[1], out=out[1])  # (tanh z)' = s z'
-            if order >= 2:
-                # (tanh z)'' = s z'' - 2 tanh(z) s z'^2
-                ysdx = y * sdx
-                curv = np.multiply(ysdx, z[1], out=out[2])
-                curv *= -2.0
-                if len(z) > 2:
-                    curv += s * z[2]
+        sdx = np.multiply(s, z[1], out=out[1])  # (tanh z)' = s z'
+        if order == 2:
+            # (tanh z)'' = s z'' - 2 tanh(z) s z'^2
+            ysdx = y * sdx
+            curv = np.multiply(ysdx, z[1], out=out[2])
+            curv *= -2.0
+            if len(z) > 2:
+                curv += s * z[2]
         tape[:] = z, s, ysdx
         return out
 
@@ -163,7 +162,8 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
 
 
 def _tanh_jet_vjp(g, out, z, s, ysdx):
-    """Gradient on the pre-activation jet z of the tanh jet `out`.
+    """Gradient on the pre-activation jet z of the tanh jet `out` (rows u, u_x
+    and, at order 2, u_xx).
 
     At order 2, y = out[0] takes four terms, summed as ((y s z' term + y y
     term) + y y term) + next layer's term, the order in which the unfused
@@ -182,9 +182,6 @@ def _tanh_jet_vjp(g, out, z, s, ysdx):
     """
     y = out[0]
     gz = np.empty(z.shape)
-    if len(out) == 1:
-        np.multiply(g[0], s, out=gz[0])
-        return gz
     if len(out) == 2:
         gs = np.multiply(g[1], z[1], out=gz[0])
         np.multiply(g[1], s, out=gz[1])

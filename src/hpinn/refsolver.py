@@ -103,8 +103,8 @@ def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
 def solve(config: SolverConfig, monitor=None):
     """March `pde.initial_field(n_cells)` to t_final, landing on every snapshot time.
 
-    Returns (times, fields) for the requested snapshot_times (t_final is
-    appended if no snapshots are given).  `monitor(t, u)` is called with the
+    Returns (times, fields): the snapshot_times sorted, each once ([t_final]
+    if none are given), and u at each.  `monitor(t, u)` is called with the
     values after every accepted step.  A step that overflows or turns
     invalid raises FloatingPointError naming the solver time it started from.
     """
@@ -116,12 +116,8 @@ def solve(config: SolverConfig, monitor=None):
     if any(t < 0.0 or t > config.t_final + 1e-12 for t in wanted):
         raise ValueError("snapshot times must lie in [0, t_final]")
 
-    out_times, out_fields = [], []
+    out_fields = []
     t = 0.0
-    if wanted and abs(wanted[0]) < 1e-12:
-        out_times.append(0.0)
-        out_fields.append(GridField(u.copy(), x0, dx))
-        wanted = wanted[1:]
     for target in wanted:
         while t < target - 1e-12:
             dt = min(stable_dt(u, dx, pde, config.cfl), target - t)
@@ -134,9 +130,8 @@ def solve(config: SolverConfig, monitor=None):
             t += dt
             if monitor is not None:
                 monitor(t, u)
-        out_times.append(target)
         out_fields.append(GridField(u.copy(), x0, dx))
-    return out_times, out_fields
+    return wanted, out_fields
 
 
 def _not_a_knot(ref: GridField, x: np.ndarray) -> np.ndarray:

@@ -14,23 +14,21 @@ from hpinn.autodiff import Jet, Value
 from loss_oracle import matmul, tanh
 
 
-def unfused_forward_stages(params, x, order=0):
+def unfused_forward_stages(params, x, order):
     """`network.forward_stages` as generic nodes; same signature and result."""
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
     u = Value(xv, label="x")
-    dx = Value(np.ones_like(xv), label="dseed") if order >= 1 else None
+    dx = Value(np.ones_like(xv), label="dseed")
     dxx = None  # x has no curvature
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         u = matmul(w, u)
-        dx = None if dx is None else matmul(w, dx)
+        dx = matmul(w, dx)
         dxx = None if dxx is None else matmul(w, dxx)
         u = u + b
         if k == last:
             break
         u = tanh(u)
-        if dx is None:
-            continue
         # (tanh z)' = s z' and (tanh z)'' = s z'' - 2 tanh(z) s z'^2, s = sech^2 z
         s = 1.0 - u * u
         sdx = s * dx

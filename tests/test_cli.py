@@ -74,14 +74,25 @@ class TestConfigErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"{where}: unknown field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("directory", [5, None, True, ["a", "b"], {"x": 1}])
-    def test_non_string_output_directory_names_path(self, tmp_path, capsys, directory):
+    @pytest.mark.parametrize("directory", [5, None, True, ["a", "b"], {"x": 1},
+                                           pytest.param("", id="empty")])
+    def test_non_string_output_directory_names_path(self, tmp_path, capsys, monkeypatch,
+                                                     directory):
         path = write_config(tmp_path, {"outputs": {"directory": directory}})
+        monkeypatch.chdir(tmp_path)  # where Path("") would write
         assert cli.main(["reference", "--config", str(path)]) == 2
         want = f"config error: outputs.directory: expected a path string, got {directory!r}"
         assert want in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
         # --out replaces the key unread, as --seed does network.seed
         assert cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+
+    def test_empty_out_flag_names_it(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reference", "--config", str(path), "--out", ""]) == 2
+        assert "config error: --out: expected a path string, got ''" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
     def test_bad_type_names_path(self, tmp_path, capsys):
         path = write_config(tmp_path, {"discretization": {"dt": "soon"}})
@@ -340,10 +351,10 @@ class TestReference:
         assert [f.name for f in out.iterdir()] == ["reference_t0.5.csv"]
 
     def test_non_finite_solve_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the flux of an initial condition scaled by 1e200 overflows in the first step
+        # a flux scaled by 1e200 overflows in the first step
         pde = cli._PDE
         monkeypatch.setattr(cli, "_PDE", dataclasses.replace(
-            pde, initial=lambda x: 1.0e200 * pde.initial(x)))
+            pde, flux=lambda u: 1.0e200 * pde.flux(u)))
         path = write_config(tmp_path)
         code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 3

@@ -33,13 +33,12 @@ def characteristics_solution(x, t, newton_iters=60):
     return u
 
 
-def linear_advection(initial=None):
+def linear_advection():
     return PdeSpec(
         flux=lambda u: u,
         dflux=lambda u: np.ones_like(u) if isinstance(u, np.ndarray) else 1.0,
         ddflux=lambda u: 0.0,
         viscosity=0.0,
-        initial=initial,
     )
 
 
@@ -215,10 +214,6 @@ class TestSolve:
                                        snapshot_times=snapshots))
         assert len(fields) == len(snapshots)
         assert len(built) <= len(snapshots) + 1
-
-    def test_needs_an_initial_condition(self):
-        with pytest.raises(ValueError, match="the PdeSpec has no initial condition"):
-            solve(SolverConfig(pde=linear_advection(), n_cells=64, t_final=0.5))
 
     def test_snapshot_validation(self):
         pde = burgers(0.0)
