@@ -2,8 +2,10 @@
 TVD Runge-Kutta in time, explicit viscous term by central differences.
 
 The convection term is `weno.weno_derivative`, which runs the same WENO-Z
-kernel as the training loss's sparse branch, on every interface.  The
-stepping functions work on plain arrays of grid values plus the spacing `dx`;
+kernel as the training loss's sparse branch, on every interface.  A solve
+makes one kernel buffer (`weno._Buffer`) and passes it through every step and
+stage, so the kernel's arrays are made once per solve.  The stepping
+functions work on plain arrays of grid values plus the spacing `dx`;
 the start is `PdeSpec.initial_field(n_cells)`, on the training's grid, and
 both walls hold 0.  Generates the fine-grid solutions the hybrid model is
 measured against and provides the global relative error metric.
@@ -11,12 +13,13 @@ measured against and provides the global relative error metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pde import PdeSpec
-from .weno import GHOST, GridField, weno_derivative
+from .weno import GHOST, GridField, _Buffer, weno_derivative
 
 __all__ = [
     "SolverConfig",
@@ -48,8 +51,12 @@ class SolverConfig:
             raise ValueError("need at least 16 cells")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
+        # a non-finite time would march forever (inf) or label a field it
+        # never reached (nan): every comparison with nan is false
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and nonnegative")
+        if not all(0.0 <= t <= self.t_final + 1e-12 for t in self.snapshot_times):
+            raise ValueError("snapshot times must lie in [0, t_final]")
 
 
 def _ghosts(u: np.ndarray) -> np.ndarray:
@@ -65,11 +72,14 @@ def _ghosts(u: np.ndarray) -> np.ndarray:
     return np.concatenate([left, u, right])
 
 
-def rhs(u: np.ndarray, dx: float, pde: PdeSpec) -> np.ndarray:
-    """-f(u)_x + nu*u_xx with WENO-Z convection and central diffusion."""
+def rhs(u: np.ndarray, dx: float, pde: PdeSpec, buf=None) -> np.ndarray:
+    """-f(u)_x + nu*u_xx with WENO-Z convection and central diffusion.
+
+    `buf` is the kernel buffer `weno_derivative` writes into.
+    """
     ue = _ghosts(u)
     lam = LAMBDA_SAFETY * pde.max_speed(u)
-    out = -weno_derivative(ue, pde.flux, lam, dx)
+    out = -weno_derivative(ue, pde.flux, lam, dx, buf)
     if pde.viscosity > 0.0:
         out += pde.viscosity * (ue[4:-2] - 2.0 * ue[3:-3] + ue[2:-4]) / (dx * dx)
     return out
@@ -92,12 +102,15 @@ def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
 
 
 def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
-                 cfl: float = 1.0) -> np.ndarray:
-    """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds."""
+                 cfl: float = 1.0, buf=None) -> np.ndarray:
+    """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds.
+
+    Its three stages write their WENO-Z arrays into the kernel buffer `buf`.
+    """
     limit = stable_dt(u, dx, pde, cfl)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
-    return rk3_combine(u, dt, lambda v: rhs(v, dx, pde))
+    return rk3_combine(u, dt, lambda v: rhs(v, dx, pde, buf))
 
 
 def solve(config: SolverConfig, monitor=None):
@@ -107,15 +120,13 @@ def solve(config: SolverConfig, monitor=None):
     if none are given), and u at each.  `monitor(t, u)` is called with the
     values after every accepted step.  A step that overflows or turns
     invalid raises FloatingPointError naming the solver time it started from.
+    Every stage of every step writes its WENO-Z arrays into one buffer.
     """
     pde = config.pde
     start = pde.initial_field(config.n_cells)
     u, x0, dx = start.values, start.x0, start.dx
-
     wanted = sorted(set(float(t) for t in config.snapshot_times)) or [config.t_final]
-    if any(t < 0.0 or t > config.t_final + 1e-12 for t in wanted):
-        raise ValueError("snapshot times must lie in [0, t_final]")
-
+    buf = _Buffer()
     out_fields = []
     t = 0.0
     for target in wanted:
@@ -123,7 +134,7 @@ def solve(config: SolverConfig, monitor=None):
             dt = min(stable_dt(u, dx, pde, config.cfl), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl)
+                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl, buf=buf)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"reference solve went non-finite at t={t:.6g}: {err}") from err

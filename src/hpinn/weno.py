@@ -12,11 +12,15 @@ own points and a mask with two also computes the points between them.  The
 kernel runs on one slot-first (5, M) stencil array through its substencil
 windows S[0:3], S[1:4] and S[2:5], as does the indicator's beta_0..beta_2.
 Every sum keeps the order of the formulas written out term by term.  The
-kernels work in place on temporaries of their own, never on an argument, and
-keep each product's operands and each sum's association and order (``c =
-C_lo lo; c += C_mid mid; ...``, never ``C_lo (lo + ...)``), so the numbers
-are bit for bit those of the tuple-form kernel kept in
-``tests/weno_oracle.py``, next to the composition over autodiff Values.
+kernels write into the stencil array and temporaries of a buffer their caller
+owns (a fresh one if it passes none) and never write an input; they keep each
+product's operands and each sum's association and order (``c = C_lo lo; c +=
+C_mid mid; ...``, never ``C_lo (lo + ...)``), so the numbers are bit for bit
+those of the tuple-form kernel kept in ``tests/weno_oracle.py``, next to the
+composition over autodiff Values.  A reference solve keeps one buffer for all
+its stages and a ``SparseWenoZ`` one for all its calls: freeing ~330 KB of
+temporaries per stage let glibc's malloc trim the top of the heap and fault
+the pages back on the next stage, ~283k faults in a 1000-cell solve.
 
 Smoothness indicators use the standard Jiang-Shu form with BOTH terms
 squared: the unsquared 13/12 term sometimes seen in print can go negative,
@@ -116,16 +120,44 @@ _P = np.array([[1.0], [-2.0], [1.0]])
 _D = np.array(LINEAR_WEIGHTS)[:, None]
 
 
-def _indicators(s):
+class _Buffer:
+    """The arrays one caller's WENO-Z evaluations write into, call after call.
+
+    It holds `_weno_dx`'s (5, 2, n+1, ...) stencil array and the kernel's
+    (3, M) and (M,) temporaries, each made on first use and again when its
+    shape changes.  Results that live in it (the kernel's tape) stay valid
+    until the next evaluation with the same buffer.
+    """
+
+    def __init__(self):
+        self.stencils = np.empty(0)
+        self.columns = -1
+
+    def stencil_array(self, shape):
+        if self.stencils.shape != shape:
+            self.stencils = np.empty(shape)
+        return self.stencils
+
+    def fit(self, columns: int):
+        """The buffer, with its kernel temporaries sized for `columns` interfaces."""
+        if columns != self.columns:
+            self.columns = columns
+            self.c, self.t, self.p, self.q, self.beta, self.ratios, self.w = np.empty((7, 3, columns))
+            self.spread, self.mag, self.asum, self.fhat = np.empty((4, columns))
+        return self
+
+
+def _indicators(s, buf=None):
     """Jiang-Shu beta_0..beta_2 (both terms squared), with their P and Q."""
+    buf = (buf or _Buffer()).fit(s.shape[1])
     lo, mid, hi = s[0:3], s[1:4], s[2:5]
-    p = lo - 2.0 * mid
+    t = buf.t
+    p = np.subtract(lo, np.multiply(2.0, mid, out=t), out=buf.p)
     p += hi
-    q = _Q_LO * lo
-    t = _Q_MID * mid
-    q += t
+    q = np.multiply(_Q_LO, lo, out=buf.q)
+    q += np.multiply(_Q_MID, mid, out=t)
     q += np.multiply(_Q_HI, hi, out=t)
-    beta = np.square(p)
+    beta = np.square(p, out=buf.beta)
     beta *= 13.0 / 12.0
     beta += np.multiply(np.square(q, out=t), 0.25, out=t)
     return beta, p, q
@@ -157,31 +189,33 @@ def split_flux(u_ext, flux_fn, lam: float):
     return (fe + lu) * 0.5, (fe - lu) * 0.5
 
 
-def _wenoz(s):
+def _wenoz(s, buf=None):
     """WENO-Z flux at x_{j+1/2} from the (5, M) upwind stencils `s` = f_{j-2..j+2}.
 
     Columns are independent, so the callers put both upwind sides side by
     side and reconstruct them in one call.  Returns the flux first, then the
-    intermediates `_wenoz_vjp` reads.  No divisor can vanish: each beta_k is a
-    sum of squares, so beta_k + EPS >= EPS, and each alpha_k >= d_k, so the
-    alpha sum is at least 1.
+    intermediates `_wenoz_vjp` reads, all of them arrays of `buf` (a fresh
+    `_Buffer` if none is given); `s` is only read.  No divisor can vanish:
+    each beta_k is a sum of squares, so beta_k + EPS >= EPS, and each
+    alpha_k >= d_k, so the alpha sum is at least 1.
     """
-    c = _C_LO * s[0:3]
-    t = _C_MID * s[1:4]
-    c += t
+    buf = (buf or _Buffer()).fit(s.shape[1])
+    t = buf.t
+    c = np.multiply(_C_LO, s[0:3], out=buf.c)
+    c += np.multiply(_C_MID, s[1:4], out=t)
     c += np.multiply(_C_HI, s[2:5], out=t)
     c *= 1.0 / 6.0
-    beta, p, q = _indicators(s)
-    spread = beta[0] - beta[2]
+    beta, p, q = _indicators(s, buf)
+    spread = np.subtract(beta[0], beta[2], out=buf.spread)
     dens = np.add(beta, EPS, out=beta)
-    ratios = np.abs(spread) / dens  # tau5 / (beta_k + EPS)
-    w = np.square(ratios)
+    ratios = np.divide(np.abs(spread, out=buf.mag), dens, out=buf.ratios)  # tau5 / (beta_k + EPS)
+    w = np.square(ratios, out=buf.w)
     w += 1.0
     w *= _D  # alpha_k
-    asum = w[0] + w[1]
+    asum = np.add(w[0], w[1], out=buf.asum)
     asum += w[2]
     w /= asum
-    fhat = w[0] * c[0]
+    fhat = np.multiply(w[0], c[0], out=buf.fhat)
     fhat += np.multiply(w[1], c[1], out=t[0])
     fhat += np.multiply(w[2], c[2], out=t[0])
     return fhat, c, w, asum, dens, ratios, spread, p, q
@@ -236,7 +270,8 @@ class SparseWenoZ:
     each copy moves whole rows.  Between two flagged runs the window computes
     unflagged points too; a mask with one run, as one shock gives, has none.
     `vjp` differentiates the last call; each window cell sums its six terms
-    in the order m = 0 .. 5.
+    in the order m = 0 .. 5.  The last call's tape lives in the instance's
+    one `_Buffer` until the next call overwrites it.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float):
@@ -248,13 +283,14 @@ class SparseWenoZ:
         self._cells = slice(max(first, 0), min(stop, n))
         self._inner = slice(self._cells.start - first, self._cells.stop - first)
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
+        self._buf = _Buffer()
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
         rows = u.reshape(-1, self._n)
         window = np.zeros((self._width, len(rows)))
         window[self._inner] = rows[:, self._cells].T
-        d, tape = _weno_dx(window, self.flux_fn, self.lam, self.dx)
+        d, tape = _weno_dx(window, self.flux_fn, self.lam, self.dx, self._buf)
         self._tape = (window, tape)
         return d[self.points - self.points[0]].T.reshape(u.shape[:-1] + (len(self.points),))
 
@@ -293,21 +329,24 @@ class SparseWenoZ:
         return du.reshape(grad.shape[:-1] + (self._n,))
 
 
-def _weno_dx(u_ext, flux_fn, lam: float, dx: float):
+def _weno_dx(u_ext, flux_fn, lam: float, dx: float, buf=None):
     """WENO-Z d f(u) / dx at the points of `u_ext`, and `_wenoz`'s tape.
 
     `u_ext` holds GHOST cells on each side of its points along axis 0; any
-    trailing axes are independent columns.
+    trailing axes are independent columns.  The stencils and the tape are
+    arrays of `buf` (a fresh `_Buffer` if none is given); the derivative is a
+    new array.
     """
+    buf = buf or _Buffer()
     n = u_ext.shape[0] - 2 * GHOST
     fp, fm = split_flux(u_ext, flux_fn, lam)
     # interface x_{i-1/2}, i = 0 .. n, reads f+ at cells i .. i + 4 (side 0)
     # and f- at cells i + 5 .. i + 1 (side 1)
-    s = np.empty((5, 2, n + 1) + u_ext.shape[1:])
+    s = buf.stencil_array((5, 2, n + 1) + u_ext.shape[1:])
     for m in range(5):
         s[m, 0] = fp[m : m + n + 1]
         s[m, 1] = fm[5 - m : 6 - m + n]
-    tape = _wenoz(s.reshape(5, -1))
+    tape = _wenoz(s.reshape(5, -1), buf)
     plus, minus = tape[0].reshape(s.shape[1:])
     fhat = plus + minus
     d = fhat[1:] - fhat[:-1]
@@ -315,12 +354,15 @@ def _weno_dx(u_ext, flux_fn, lam: float, dx: float):
     return d, tape
 
 
-def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float) -> np.ndarray:
+def weno_derivative(u_ext: np.ndarray, flux_fn, lam: float, dx: float,
+                    buf=None) -> np.ndarray:
     """d f(u) / dx at every grid point via conservative WENO-Z differences.
 
-    `u_ext` is the field with GHOST ghost cells already on each side.
+    `u_ext` is the field with GHOST ghost cells already on each side.  `buf`
+    is the caller's `_Buffer` for the kernel's arrays, kept from call to
+    call; without one the call makes its own.
     """
-    return _weno_dx(u_ext, flux_fn, lam, dx)[0]
+    return _weno_dx(u_ext, flux_fn, lam, dx, buf)[0]
 
 
 # -- discontinuity indicator --------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hpinn.refsolver import (
     SolverConfig,
     _ghosts,
     _not_a_knot,
+    reference_on_grid,
     relative_error,
     rhs,
     rk3_combine,
@@ -18,6 +20,7 @@ from hpinn.refsolver import (
     tvd_rk3_step,
 )
 from hpinn.weno import GridField
+import exact_oracle as exact
 
 # the shock workloads' frozen inputs (benchmarks/make_data.py)
 SHOCK_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "shock_reference.npz"
@@ -215,10 +218,34 @@ class TestSolve:
         assert len(fields) == len(snapshots)
         assert len(built) <= len(snapshots) + 1
 
+    def test_one_kernel_buffer_per_solve(self, monkeypatch):
+        # every stage of every step writes into one set of WENO-Z arrays
+        made, init = [], weno._Buffer.__init__
+
+        def counted(buf):
+            made.append(buf)
+            init(buf)
+
+        monkeypatch.setattr(weno._Buffer, "__init__", counted)
+        steps = []
+        solve(SolverConfig(pde=burgers(1e-2), n_cells=64, t_final=0.3, snapshot_times=(0.1, 0.3)),
+              monitor=lambda t, u: steps.append(t))
+        assert len(steps) > 10 and len(made) == 1
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-2])
+    def test_consecutive_solves_agree_to_the_bit(self, nu):
+        config = SolverConfig(pde=burgers(nu), n_cells=128, t_final=0.5, snapshot_times=(0.25, 0.5))
+        first, second = solve(config), solve(config)
+        assert first[0] == second[0]
+        assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(first[1], second[1]))
+
     def test_snapshot_validation(self):
         pde = burgers(0.0)
         with pytest.raises(ValueError):
             solve(SolverConfig(pde=pde, n_cells=64, t_final=0.5, snapshot_times=(0.9,)))
+        # a nan snapshot time once came back as the t = 0.5 field, labelled nan
+        with pytest.raises(ValueError, match="snapshot times"):
+            SolverConfig(pde=pde, n_cells=64, t_final=0.5, snapshot_times=(math.nan, 0.5))
 
 
 class TestNotAKnot:
@@ -276,3 +303,84 @@ def test_solver_config_validation():
         SolverConfig(pde=pde, cfl=0.0)
     with pytest.raises(ValueError):
         SolverConfig(pde=pde, t_final=-1.0)
+    # an infinite t_final once marched forever, a nan one returned u(0, x)
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            SolverConfig(pde=pde, n_cells=32, t_final=t_final)
+
+
+# -- against the exact solutions ------------------------------------------------
+
+PRESETS = {"inviscid": 0.0, "viscous": 1e-4 / np.pi}
+# each bound is the error measured on x86-64 with numpy 2.4's libm, plus 25%:
+# another libm moves the fields by ~1e-14 (test_reproduces_the_benchmark_inputs),
+# far below these errors, while other linear weights (0.15, 0.55, 0.3) or a
+# splitting speed 1.5 |u|max instead of 1.2 push some error past its bound
+MARGIN = 1.25
+
+
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def preset(request):
+    """A preset's 300-cell (t = 0.2 and 1) and 1000-cell (t = 1) solves, and
+    the exact solution at their points: (name, fields, truths)."""
+    nu = PRESETS[request.param]
+    pde = burgers(nu)
+    _, (smooth, coarse) = solve(SolverConfig(pde=pde, n_cells=300, snapshot_times=(0.2, 1.0)))
+    _, (fine,) = solve(SolverConfig(pde=pde, n_cells=1000))
+    fields = {"smooth": smooth, "coarse": coarse, "fine": fine}
+    if nu == 0.0:
+        truths = {"smooth": exact.inviscid(smooth.x, 0.2), "coarse": exact.inviscid(coarse.x, 1.0),
+                  "fine": exact.inviscid(fine.x, 1.0)}
+    else:  # the Cole-Hopf integrals at 1000 points would cost ~1 s: none there
+        truths = {"smooth": exact.viscous(smooth.x, 0.2, nu), "coarse": exact.viscous(coarse.x, 1.0, nu)}
+    return request.param, fields, truths
+
+
+def relative_l1(got, want):
+    return float(np.abs(got - want).sum() / np.abs(want).sum())
+
+
+def relative_l2(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestAgainstExactSolution:
+    def test_smooth_phase_in_l2(self, preset):
+        # t = 0.2 comes before the shock (t = 1/pi) and the viscous layer
+        name, fields, truths = preset
+        measured = {"inviscid": 1.80e-7, "viscous": 1.72e-7}[name]
+        assert relative_l2(fields["smooth"].values, truths["smooth"]) <= MARGIN * measured
+
+    def test_shock_phase_in_l1(self, preset):
+        # at t = 1 the grid captures the shock within a few cells, so the
+        # pointwise error is O(1) there: L1 measures how few cells it smears
+        name, fields, truths = preset
+        measured = {"inviscid": 3.96e-3, "viscous": 4.02e-3}[name]
+        assert relative_l1(fields["coarse"].values, truths["coarse"]) <= MARGIN * measured
+        if "fine" in truths:
+            assert relative_l1(fields["fine"].values, truths["fine"]) <= MARGIN * 1.19e-3
+
+    def test_reference_at_the_training_points_in_l2(self, preset):
+        # the errors this package reports put the 1000-cell solve onto the
+        # 300 training points (cubic spline): that reference is a few 1e-3
+        # from the truth there
+        name, fields, truths = preset
+        measured = {"inviscid": 1.89e-3, "viscous": 2.20e-3}[name]
+        ref = reference_on_grid(fields["fine"], fields["coarse"])
+        assert relative_l2(ref, truths["coarse"]) <= MARGIN * measured
+
+
+class TestExactOracle:
+    def test_inviscid_matches_characteristics_before_the_shock(self):
+        x = np.linspace(-1.0, 1.0, 301)
+        assert np.max(np.abs(exact.inviscid(x, 0.2) - characteristics_solution(x, 0.2))) < 1e-14
+
+    def test_inviscid_shock_stands_at_the_origin(self):
+        x = np.array([-1e-9, 0.0, 1e-9])
+        u = exact.inviscid(x, 1.0)
+        assert u[1] == 0.0 and u[0] == -u[2] > 0.5  # a jump of O(1) across x = 0
+
+    def test_viscous_tends_to_inviscid_away_from_the_shock(self):
+        x = np.linspace(-0.9, -0.1, 9)
+        nu = 1e-4 / np.pi
+        assert np.max(np.abs(exact.viscous(x, 1.0, nu) - exact.inviscid(x, 1.0))) < 1e-3

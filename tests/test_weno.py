@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hpinn import weno
 from hpinn.refsolver import _ghosts
 from hpinn.weno import (
     DELTA,
@@ -18,6 +19,7 @@ from hpinn.weno import (
     DiscontinuityMask,
     GridField,
     SparseWenoZ,
+    _Buffer,
     _wenoz,
     _wenoz_vjp,
     beta3,
@@ -287,15 +289,19 @@ class TestWenoDerivative:
         with pytest.raises(ValueError, match=message):
             GridField(values, 0.0, dx)
 
+    SHARED = _Buffer()  # every example's sizes pass through this one buffer
+
     @settings(max_examples=150, deadline=None)
     @given(values=st.integers(7, 64).flatmap(
                lambda n: arrays(np.float64, n, elements=st.floats(-2.0, 2.0))),
-           lam=st.floats(0.5, 3.0), pad=ghost_rules)
-    def test_matches_oracle_bit_for_bit(self, values, lam, pad):
-        # lam >= 0.5 leaves f- = (u^2/2 - lam u)/2 nonzero almost everywhere
+           lam=st.floats(0.5, 3.0), pad=ghost_rules, reuse=st.booleans())
+    def test_matches_oracle_bit_for_bit(self, values, lam, pad, reuse):
+        # lam >= 0.5 leaves f- = (u^2/2 - lam u)/2 nonzero almost everywhere;
+        # a reused buffer holds the arrays of earlier calls, of any size
         fp, fm = split_flux(pad(values), BURGERS_FLUX, lam)
         want = weno_flux_divergence(fp, fm, len(values), 0.01)
-        assert np.array_equal(weno_derivative(pad(values), BURGERS_FLUX, lam, 0.01), want)
+        buf = self.SHARED if reuse else None
+        assert np.array_equal(weno_derivative(pad(values), BURGERS_FLUX, lam, 0.01, buf), want)
 
 
 class TestSparseWenoZ:
@@ -352,6 +358,34 @@ class TestSparseWenoZ:
         want = oracle.SparseWenoZ(flags, BURGERS_FLUX, lambda u: u, self.LAM, self.DX)
         assert np.array_equal(op(u), want(u))
         assert np.array_equal(op.vjp(cotangent), want.vjp(cotangent))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flags=masks(N).filter(np.any))
+    def test_vjp_differentiates_the_last_call(self, seed, flags):
+        # the tape lives in the instance's buffer: the second call overwrites it
+        rng = np.random.default_rng(seed)
+        u1, u2 = rng.uniform(-2.0, 2.0, size=(2, 3, self.N))
+        cotangent = rng.normal(size=(3, int(flags.sum())))
+        op, fresh = self.op(flags), self.op(flags)
+        op(u1)
+        value, want = op(u2), fresh(u2)
+        assert value.tobytes() == want.tobytes()
+        assert op.vjp(cotangent).tobytes() == fresh.vjp(cotangent).tobytes()
+
+    def test_one_kernel_buffer_per_instance(self, monkeypatch):
+        made, init = [], _Buffer.__init__
+
+        def counted(buf):
+            made.append(buf)
+            init(buf)
+
+        monkeypatch.setattr(weno._Buffer, "__init__", counted)
+        op = self.op(np.arange(self.N) % 7 == 3)
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, self.N))
+        for _ in range(4):
+            op(u)
+            op.vjp(np.ones((2, op.points.size)))
+        assert len(made) == 1
 
 
 class TestIndicator:
