@@ -69,7 +69,7 @@ _DEFAULTS = {
         "max_iterations": _TRAIN.max_iterations,
         "loss_reduction": _TRAIN.loss_reduction,
     },
-    "reference": {"n_cells": _REF.n_cells, "cfl": _REF.cfl},
+    "reference": {"n_cells": _REF.n_cells},
     "outputs": {"t_final": 0.6, "profile_times": [0.6], "directory": "out"},
 }
 
@@ -135,7 +135,7 @@ class Experiment:
     disc: Discretization
     network: NetworkConfig
     training: TrainingConfig
-    reference: SolverConfig  # its n_cells and cfl; march and cmd_reference set the rest
+    reference: SolverConfig  # its n_cells; march and cmd_reference set the rest
     t_final: float
     profile_times: tuple  # sorted, one per step boundary (`model.step_count`)
     out_dir: Path
@@ -147,7 +147,11 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_Loader)
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+    try:
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     cfg = _merge(_DEFAULTS, raw or {})
@@ -188,10 +192,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     _checked("outputs.t_final", step_count, t_final, disc.dt)
     _, steps = _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
-    reference = _checked(
-        "reference", SolverConfig, pde=pde,
-        n_cells=_need_int(cfg, "reference.n_cells"), cfl=_need_number(cfg, "reference.cfl"),
-    )
+    reference = _checked("reference", SolverConfig, pde=pde,
+                         n_cells=_need_int(cfg, "reference.n_cells"))
 
     out_dir, where = cfg["outputs"]["directory"], "outputs.directory"
     if out_override is not None:
@@ -213,6 +215,14 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
 
 
 # -- output helpers ------------------------------------------------------------
+
+
+def _make_out_dir(path: Path):
+    """Create `path`; a path that cannot be a directory is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror or err}") from err
 
 
 def _atomic_write(path: Path, text: str):
@@ -240,7 +250,7 @@ def _profile_name(prefix: str, t: float) -> str:
 
 
 def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(exp.out_dir)
     disc = dataclasses.replace(exp.disc, hybrid_enabled=hybrid)
     log_records = [{"config": exp.resolved, "mode": column}]
 
@@ -287,7 +297,7 @@ def cmd_baseline(exp: Experiment) -> int:
 
 
 def cmd_reference(exp: Experiment) -> int:
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(exp.out_dir)
     got_times, fields = solve(dataclasses.replace(
         exp.reference, t_final=exp.t_final, snapshot_times=exp.profile_times))
     for t, f in zip(got_times, fields):
@@ -303,8 +313,10 @@ def _cell_seed(base: int, q: int, dt: float, nu: float) -> int:
 
 
 def _sweep_cell(args):
-    """One (q, dt, nu) cell of the loaded experiment; cell and row pickle for --jobs."""
+    """One (q, dt, nu) cell of the loaded experiment, as its sweep.csv row of
+    strings; cell and row pickle for --jobs."""
     exp, q, dt, nu = args
+    cell = (str(q), _fmt(dt), _fmt(nu))
     try:
         result = march(
             dataclasses.replace(exp.pde, viscosity=nu),
@@ -315,19 +327,10 @@ def _sweep_cell(args):
         )
         iterations = sum(d.iterations for d in result.diagnostics)
         converged = all(d.converged for d in result.diagnostics)
-        return {
-            "q": q, "dt": dt, "nu": nu,
-            "rel_error": _fmt(result.errors[exp.t_final]),
-            "iterations": str(iterations),
-            "converged": str(converged).lower(),
-            "error": "",
-        }
+        return (*cell, _fmt(result.errors[exp.t_final]), str(iterations),
+                str(converged).lower(), "")
     except Exception as err:  # failures recorded in-row, sweep continues
-        return {
-            "q": q, "dt": dt, "nu": nu,
-            "rel_error": "", "iterations": "0", "converged": "false",
-            "error": str(err).replace(",", ";"),
-        }
+        return (*cell, "", "0", "false", str(err).replace(",", ";"))
 
 
 def _check_swept(flag, values, check, reason):
@@ -354,8 +357,10 @@ def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
                  f"does not divide t_final={_fmt(exp.t_final)}")
     _check_swept("--nu", nus, lambda nu: dataclasses.replace(exp.pde, viscosity=nu),
                  "is not a nonnegative viscosity")
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(exp, q, dt, nu) for q in qs for dt in dts for nu in nus]
+    _make_out_dir(exp.out_dir)
+    # cells run, and their rows are written, in the table's order
+    cells = [(exp, q, dt, nu) for q in sorted(qs) for dt in sorted(dts)
+             for nu in sorted(nus, reverse=True)]
     workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms: only --jobs N>1 pays it
@@ -364,17 +369,11 @@ def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
     else:
         rows = [_sweep_cell(cell) for cell in cells]
 
-    rows.sort(key=lambda r: (r["q"], r["dt"], -r["nu"]))
-    table = [
-        (str(r["q"]), _fmt(r["dt"]), _fmt(r["nu"]), r["rel_error"],
-         r["iterations"], r["converged"], r["error"])
-        for r in rows
-    ]
     _atomic_write(
         exp.out_dir / "sweep.csv",
-        _csv(table, ("q", "dt", "nu", "rel_error", "iterations", "converged", "error")),
+        _csv(rows, ("q", "dt", "nu", "rel_error", "iterations", "converged", "error")),
     )
-    for r in table:
+    for r in rows:
         print(f"q={r[0]} dt={r[1]} nu={r[2]}: rel_error={r[3] or 'FAILED'}"
               + (f" ({r[6]})" if r[6] else ""))
     return EXIT_OK

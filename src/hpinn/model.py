@@ -373,8 +373,8 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     Every step re-freezes the mask and lam from the current data and
     warm-starts from the previous step's trained parameters.  The network
     gets q+1 outputs whatever `net_config.outputs` says.  `reference` sets
-    the solver's n_cells and cfl (SolverConfig's defaults when None); its
-    pde, t_final and snapshot times are this march's.  The reference is
+    the solver's n_cells (SolverConfig's default when None); its pde,
+    t_final and snapshot times are this march's.  The reference is
     solved before the first step, so a reference the solver cannot run costs
     no training.  `step_count` checks `eval_times`, sorts them and merges
     them by step boundary.  At each, the reference is put once onto the

@@ -36,21 +36,21 @@ __all__ = [
 # degenerate critical point in the split fluxes (which would cost the
 # reconstruction two orders of accuracy at solution extrema).
 LAMBDA_SAFETY = 1.2
+# Courant number of every step: the share of the hyperbolic and explicit
+# viscous bounds a step may take.
+CFL = 0.4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     pde: PdeSpec
     n_cells: int = 1000
-    cfl: float = 0.4
     t_final: float = 1.0
     snapshot_times: tuple = ()
 
     def __post_init__(self):
         if self.n_cells < 16:
             raise ValueError("need at least 16 cells")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
         # a non-finite time would march forever (inf) or label a field it
         # never reached (nan): every comparison with nan is false
         if not 0.0 <= self.t_final < math.inf:
@@ -92,22 +92,21 @@ def rk3_combine(u: np.ndarray, dt: float, rhs_fn) -> np.ndarray:
     return (u + 2.0 * u2 + 2.0 * dt * rhs_fn(u2)) / 3.0
 
 
-def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec, cfl: float) -> float:
-    """Largest step satisfying the hyperbolic and explicit viscous bounds."""
+def stable_dt(u: np.ndarray, dx: float, pde: PdeSpec) -> float:
+    """Largest step within CFL times the hyperbolic and explicit viscous bounds."""
     speed = pde.max_speed(u)
-    dt = cfl * dx / max(speed, 1e-12)
+    dt = CFL * dx / max(speed, 1e-12)
     if pde.viscosity > 0.0:
-        dt = min(dt, cfl * dx * dx / (2.0 * pde.viscosity))
+        dt = min(dt, CFL * dx * dx / (2.0 * pde.viscosity))
     return dt
 
 
-def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec,
-                 cfl: float = 1.0, buf=None) -> np.ndarray:
-    """One TVD-RK3 step; refuses steps beyond the CFL/viscous bounds.
+def tvd_rk3_step(u: np.ndarray, dx: float, dt: float, pde: PdeSpec, buf=None) -> np.ndarray:
+    """One TVD-RK3 step; refuses a step longer than `stable_dt`.
 
     Its three stages write their WENO-Z arrays into the kernel buffer `buf`.
     """
-    limit = stable_dt(u, dx, pde, cfl)
+    limit = stable_dt(u, dx, pde)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.6g} violates the stability bound {limit:.6g}")
     return rk3_combine(u, dt, lambda v: rhs(v, dx, pde, buf))
@@ -131,10 +130,10 @@ def solve(config: SolverConfig, monitor=None):
     t = 0.0
     for target in wanted:
         while t < target - 1e-12:
-            dt = min(stable_dt(u, dx, pde, config.cfl), target - t)
+            dt = min(stable_dt(u, dx, pde), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    u = tvd_rk3_step(u, dx, dt, pde, cfl=config.cfl, buf=buf)
+                    u = tvd_rk3_step(u, dx, dt, pde, buf=buf)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"reference solve went non-finite at t={t:.6g}: {err}") from err

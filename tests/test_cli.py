@@ -157,7 +157,10 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("verb", ["reference", "run"])
     @pytest.mark.parametrize("setting,message", [
-        ({"cfl": 50.0}, "cfl must lie in (0, 1]"),
+        # the Courant number is refsolver.CFL, not a setting; the id is kept
+        # so the case stays traceable to the range check it replaces
+        pytest.param({"cfl": 50.0}, "reference.cfl: unknown field",
+                     id="setting0-cfl must lie in (0, 1]"),
         ({"n_cells": 8}, "need at least 16 cells"),
     ])
     def test_reference_setting_the_solver_rejects(self, tmp_path, capsys, verb, setting,
@@ -189,19 +192,50 @@ class TestConfigErrors:
         assert f"{where}: expected an integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("section,fields,where", [
-        ("training", {"tolerance": float("nan")}, "training.tolerance"),
-        ("pde", {"viscosity": float("nan")}, "pde.viscosity"),
-        ("training", {"learning_rate": float("inf")}, "training.learning_rate"),
-        ("reference", {"cfl": float("nan")}, "reference.cfl"),
-        ("outputs", {"t_final": float("inf")}, "outputs.t_final"),
-    ])
-    def test_non_finite_number_names_path(self, tmp_path, capsys, section, fields, where):
+    @pytest.mark.parametrize("section,fields,where,reason", [
+        ("training", {"tolerance": float("nan")}, "training.tolerance", "expected a finite number"),
+        ("pde", {"viscosity": float("nan")}, "pde.viscosity", "expected a finite number"),
+        ("training", {"learning_rate": float("inf")}, "training.learning_rate",
+         "expected a finite number"),
+        # a deleted key is refused by name before its value is read
+        ("reference", {"cfl": float("nan")}, "reference.cfl", "unknown field"),
+        ("outputs", {"t_final": float("inf")}, "outputs.t_final", "expected a finite number"),
+    ], ids=["training-fields0-training.tolerance", "pde-fields1-pde.viscosity",
+            "training-fields2-training.learning_rate", "reference-fields3-reference.cfl",
+            "outputs-fields4-outputs.t_final"])
+    def test_non_finite_number_names_path(self, tmp_path, capsys, section, fields, where,
+                                          reason):
         path = write_config(tmp_path, {section: fields})  # written as .nan / .inf
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"config error: {where}: expected a finite number" in capsys.readouterr().err
+        assert f"config error: {where}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_config_that_is_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(b"\xff\xfe" + "pde: {viscosity: 0.0}\n".encode("utf-16-le"))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"config error: cannot read {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "baseline", "reference", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys,
+                                                          monkeypatch, verb, under):
+        def no_work(*args, **kwargs):
+            raise AssertionError("nothing may be trained or solved")
+
+        monkeypatch.setattr(cli, "march", no_work)
+        monkeypatch.setattr(cli, "solve", no_work)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker / "x" if under else blocker
+        swept = ["--dt", "0.5"] if verb == "sweep" else []  # the default dts do not divide 0.5
+        code = cli.main([verb, "--config", str(write_config(tmp_path)), "--out", str(out), *swept])
+        assert code == 2
+        assert f"config error: cannot create output directory {out}: " in capsys.readouterr().err
+        assert blocker.read_text() == "a file\n"
 
     def test_empty_file_takes_the_types_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -478,6 +512,24 @@ class TestSweep:
         assert calls == [(1, 0.5, 0.0)]
         assert len((out / "sweep.csv").read_text().splitlines()) == 2  # header and one row
 
+    def test_rows_are_written_in_table_order(self, tmp_path, monkeypatch):
+        # q and dt ascending, nu descending, whatever order the flags give
+        calls = []
+
+        def march(pde, disc, *args, t_final, **kwargs):
+            calls.append((disc.q_stages, disc.dt, pde.viscosity))
+            return SimpleNamespace(errors={t_final: 0.125}, diagnostics=[])
+
+        monkeypatch.setattr(cli, "march", march)
+        out = tmp_path / "s"
+        code = cli.main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--q", "2", "1", "2", "--dt", "0.5", "0.25", "--nu", "0.0", "0.01"])
+        assert code == 0
+        order = [(q, dt, nu) for q in (1, 2) for dt in (0.25, 0.5) for nu in (0.01, 0.0)]
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == order
+        assert calls == order  # the cells run in that order too
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         path = write_config(tmp_path)
         serial, parallel = tmp_path / "ser", tmp_path / "par"
@@ -508,8 +560,7 @@ class TestSweep:
 
         def stub_cell(cell):
             _, q, dt, nu = cell
-            return {"q": q, "dt": dt, "nu": nu, "rel_error": "0.5", "iterations": "1",
-                    "converged": "true", "error": ""}
+            return (str(q), repr(dt), repr(nu), "0.5", "1", "true", "")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_sweep_cell", stub_cell)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline  # the spline's oracle; a test-only dependency
 
-from hpinn import weno
+from hpinn import refsolver, weno
 from hpinn.pde import PdeSpec, burgers
 from hpinn.refsolver import (
     SolverConfig,
@@ -106,10 +106,10 @@ class TestRk3:
         pde = burgers(0.0)
         x = np.linspace(-1, 1, 101)
         u, dx = -np.sin(np.pi * x), x[1] - x[0]
-        limit = stable_dt(u, dx, pde, cfl=0.4)
+        limit = stable_dt(u, dx, pde)
         with pytest.raises(ValueError):
-            tvd_rk3_step(u, dx, 2 * limit, pde, cfl=0.4)
-        tvd_rk3_step(u, dx, 0.5 * limit, pde, cfl=0.4)  # comfortably stable
+            tvd_rk3_step(u, dx, 2 * limit, pde)
+        tvd_rk3_step(u, dx, 0.5 * limit, pde)  # comfortably stable
 
     def test_burgers_tv_never_grows_much(self):
         # WENO-Z is essentially (not strictly) non-oscillatory: per-step TV
@@ -179,14 +179,15 @@ class TestSolve:
         )
         assert max(peak) <= 1.0 + 1e-6
 
-    def test_spatial_convergence_order(self):
-        # shrink cfl with the grid so the third-order time integrator does
-        # not mask the fifth-order spatial error
+    def test_spatial_convergence_order(self, monkeypatch):
+        # shrink the Courant number with the grid so the third-order time
+        # integrator does not mask the fifth-order spatial error
         pde = burgers(0.0)
         errs = []
         for n, cfl in ((250, 0.4), (500, 0.2), (1000, 0.1)):
+            monkeypatch.setattr(refsolver, "CFL", cfl)
             _, fields = solve(
-                SolverConfig(pde=pde, n_cells=n, cfl=cfl, t_final=0.2, snapshot_times=(0.2,))
+                SolverConfig(pde=pde, n_cells=n, t_final=0.2, snapshot_times=(0.2,))
             )
             u = fields[0]
             errs.append(np.max(np.abs(u.values - characteristics_solution(u.x, 0.2))))
@@ -300,8 +301,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(pde=pde, n_cells=8)
     with pytest.raises(ValueError):
-        SolverConfig(pde=pde, cfl=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(pde=pde, t_final=-1.0)
     # an infinite t_final once marched forever, a nan one returned u(0, x)
     for t_final in (math.inf, math.nan):
@@ -359,6 +358,15 @@ class TestAgainstExactSolution:
         assert relative_l1(fields["coarse"].values, truths["coarse"]) <= MARGIN * measured
         if "fine" in truths:
             assert relative_l1(fields["fine"].values, truths["fine"]) <= MARGIN * 1.19e-3
+
+    def test_error_floor_in_l2(self, preset):
+        # the exact-solution twin of test_error_floor_of_method_and_metric:
+        # 300 cells smear the shock over a few cells, which costs more than
+        # 2e-2 in L2 at t = 1, so the paper's <= 2e-2 bars on those points
+        # stay out of reach whatever the reference
+        name, fields, truths = preset
+        measured = {"inviscid": 4.07e-2, "viscous": 4.12e-2}[name]
+        assert 2e-2 < relative_l2(fields["coarse"].values, truths["coarse"]) <= MARGIN * measured
 
     def test_reference_at_the_training_points_in_l2(self, preset):
         # the errors this package reports put the 1000-cell solve onto the
