@@ -58,7 +58,6 @@ _Loader.add_implicit_resolver(
 
 # Each setting's default is its type's own; only the outputs have no type.
 _PDE, _DISC, _NET, _TRAIN = burgers(), Discretization(), NetworkConfig(), TrainingConfig()
-_REF = SolverConfig(_PDE)
 _DEFAULTS = {
     "pde": {"viscosity": _PDE.viscosity},
     "discretization": {"n_points": _DISC.n_points, "dt": _DISC.dt, "q_stages": _DISC.q_stages},
@@ -69,7 +68,7 @@ _DEFAULTS = {
         "max_iterations": _TRAIN.max_iterations,
         "loss_reduction": _TRAIN.loss_reduction,
     },
-    "reference": {"n_cells": _REF.n_cells},
+    "reference": {"n_cells": SolverConfig.n_cells},
     "outputs": {"t_final": 0.6, "profile_times": [0.6], "directory": "out"},
 }
 
@@ -135,7 +134,7 @@ class Experiment:
     disc: Discretization
     network: NetworkConfig
     training: TrainingConfig
-    reference: SolverConfig  # its n_cells; march and cmd_reference set the rest
+    n_cells: int  # the reference solver's
     t_final: float
     profile_times: tuple  # sorted, one per step boundary (`model.step_count`)
     out_dir: Path
@@ -144,8 +143,6 @@ class Experiment:
 
 def load_config(path, out_override=None, seed_override=None) -> Experiment:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as err:
@@ -192,8 +189,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     _checked("outputs.t_final", step_count, t_final, disc.dt)
     _, steps = _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
 
-    reference = _checked("reference", SolverConfig, pde=pde,
-                         n_cells=_need_int(cfg, "reference.n_cells"))
+    n_cells = _need_int(cfg, "reference.n_cells")
+    _checked("reference", SolverConfig, pde=pde, n_cells=n_cells)
 
     out_dir, where = cfg["outputs"]["directory"], "outputs.directory"
     if out_override is not None:
@@ -206,7 +203,7 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         disc=disc,
         network=network,
         training=training,
-        reference=reference,
+        n_cells=n_cells,
         t_final=t_final,
         profile_times=tuple(steps.values()),
         out_dir=Path(out_dir),
@@ -249,8 +246,9 @@ def _profile_name(prefix: str, t: float) -> str:
 # -- verbs ---------------------------------------------------------------------
 
 
-def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
+def _run_experiment(exp: Experiment, hybrid: bool) -> int:
     _make_out_dir(exp.out_dir)
+    column = "u_hpinn" if hybrid else "u_pinn_baseline"
     disc = dataclasses.replace(exp.disc, hybrid_enabled=hybrid)
     log_records = [{"config": exp.resolved, "mode": column}]
 
@@ -265,11 +263,10 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
     result = march(
         exp.pde, disc, exp.network, exp.training,
         t_final=exp.t_final, eval_times=exp.profile_times,
-        reference=exp.reference, on_step=on_step,
+        n_cells=exp.n_cells, on_step=on_step,
     )
 
-    for t, ref in result.reference.items():
-        pred = result.fields[int(round(t / exp.disc.dt))]
+    for t, (pred, ref) in result.profiles.items():
         rows = [
             (_fmt(xi), _fmt(ui), _fmt(ri))
             for xi, ui, ri in zip(pred.x, pred.values, ref.values)
@@ -288,18 +285,10 @@ def _run_experiment(exp: Experiment, column: str, hybrid: bool) -> int:
     return EXIT_OK
 
 
-def cmd_run(exp: Experiment) -> int:
-    return _run_experiment(exp, "u_hpinn", hybrid=True)
-
-
-def cmd_baseline(exp: Experiment) -> int:
-    return _run_experiment(exp, "u_pinn_baseline", hybrid=False)
-
-
 def cmd_reference(exp: Experiment) -> int:
     _make_out_dir(exp.out_dir)
-    got_times, fields = solve(dataclasses.replace(
-        exp.reference, t_final=exp.t_final, snapshot_times=exp.profile_times))
+    got_times, fields = solve(SolverConfig(
+        exp.pde, exp.n_cells, t_final=exp.t_final, snapshot_times=exp.profile_times))
     for t, f in zip(got_times, fields):
         rows = [(_fmt(xi), _fmt(ui)) for xi, ui in zip(f.x, f.values)]
         _atomic_write(exp.out_dir / _profile_name("reference", t), _csv(rows, ("x", "u")))
@@ -323,7 +312,7 @@ def _sweep_cell(args):
             dataclasses.replace(exp.disc, dt=dt, q_stages=q),
             dataclasses.replace(exp.network, seed=_cell_seed(exp.network.seed, q, dt, nu)),
             exp.training, t_final=exp.t_final, eval_times=(exp.t_final,),
-            reference=exp.reference,
+            n_cells=exp.n_cells,
         )
         iterations = sum(d.iterations for d in result.diagnostics)
         converged = all(d.converged for d in result.diagnostics)
@@ -351,6 +340,7 @@ def _check_swept(flag, values, check, reason):
 
 def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
     # a repeated value would train the same cell, with the same seed, twice
+    nus = [nu + 0.0 for nu in nus]  # -0.0 is the cell 0.0; the seed hashes repr(nu)
     qs, dts, nus = (list(dict.fromkeys(values)) for values in (qs, dts, nus))
     _check_swept("--q", qs, check_stage_count, f"is not a stage count in [1, {MAX_STAGES}]")
     _check_swept("--dt", dts, lambda dt: step_count(exp.t_final, dt),
@@ -412,13 +402,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         exp = load_config(args.config, out_override=args.out, seed_override=args.seed)
-        if args.verb == "run":
-            return cmd_run(exp)
-        if args.verb == "baseline":
-            return cmd_baseline(exp)
         if args.verb == "reference":
             return cmd_reference(exp)
-        return cmd_sweep(exp, args.q, args.dt, args.nu, args.jobs)
+        if args.verb == "sweep":
+            return cmd_sweep(exp, args.q, args.dt, args.nu, args.jobs)
+        return _run_experiment(exp, hybrid=args.verb == "run")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,11 +133,11 @@ class StepDiagnostics:
 
 @dataclass
 class MarchResult:
-    """`errors` and `reference` share their keys: the sorted, merged eval times."""
+    """`errors` and `profiles` share their keys: the sorted, merged eval times."""
 
     fields: list  # GridField at k * dt for every step boundary k, initial condition first
     errors: dict  # eval time -> global relative error vs the reference run
-    reference: dict  # eval time -> the reference on that time's prediction grid (a GridField)
+    profiles: dict  # eval time -> (prediction, the reference on its grid), GridFields
     diagnostics: list
 
 
@@ -365,21 +365,19 @@ def step_count(t_final: float, dt: float, eval_times=()):
 
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
-          reference: Optional[SolverConfig] = None,
+          n_cells: int = SolverConfig.n_cells,
           on_step: Optional[Callable] = None) -> MarchResult:
     """March from `pde.initial_field(disc.n_points)` to t_final, one trained step at
     a time, and report global relative errors against the reference solver.
 
     Every step re-freezes the mask and lam from the current data and
     warm-starts from the previous step's trained parameters.  The network
-    gets q+1 outputs whatever `net_config.outputs` says.  `reference` sets
-    the solver's n_cells (SolverConfig's default when None); its pde,
-    t_final and snapshot times are this march's.  The reference is
-    solved before the first step, so a reference the solver cannot run costs
-    no training.  `step_count` checks `eval_times`, sorts them and merges
-    them by step boundary.  At each, the reference is put once onto the
-    prediction's grid, and both the error and `MarchResult.reference` come
-    from that one array.
+    gets q+1 outputs whatever `net_config.outputs` says.  The reference is
+    solved on `n_cells` cells before the first step, so a reference the
+    solver cannot run costs no training.  `step_count` checks `eval_times`,
+    sorts them and merges them by step boundary.  At each, the reference is
+    put once onto the prediction's grid, and both the error and
+    `MarchResult.profiles` come from that one array.
     """
     n_steps, steps = step_count(t_final, disc.dt, eval_times)
 
@@ -389,9 +387,7 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     snapshots = []
     if steps:
         times = tuple(steps.values())
-        _, snapshots = solve(replace(
-            reference or SolverConfig(pde), pde=pde, t_final=times[-1], snapshot_times=times,
-        ))
+        _, snapshots = solve(SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times))
 
     fields = [pde.initial_field(disc.n_points)]
 
@@ -407,10 +403,10 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
         if on_step is not None:
             on_step(diag)
 
-    errors, ref_fields = {}, {}
+    errors, profiles = {}, {}
     for (k, t), snapshot in zip(steps.items(), snapshots):
         pred = fields[k]
         ref = GridField(reference_on_grid(snapshot, pred), pred.x0, pred.dx)
-        errors[t], ref_fields[t] = relative_error(pred, ref), ref
-    return MarchResult(fields=fields, errors=errors, reference=ref_fields,
+        errors[t], profiles[t] = relative_error(pred, ref), (pred, ref)
+    return MarchResult(fields=fields, errors=errors, profiles=profiles,
                        diagnostics=diagnostics)

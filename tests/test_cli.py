@@ -39,9 +39,17 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
-        code = cli.main(["run", "--config", str(tmp_path / "nope.yaml")])
+        path = tmp_path / "nope.yaml"
+        code = cli.main(["run", "--config", str(path)])
         assert code == 2
-        assert "not found" in capsys.readouterr().err
+        want = f"config error: cannot read {path}: [Errno 2] No such file or directory"
+        assert want in capsys.readouterr().err
+
+    def test_directory_is_not_a_config(self, tmp_path, capsys):
+        code = cli.main(["run", "--config", str(tmp_path)])
+        assert code == 2
+        want = f"config error: cannot read {tmp_path}: [Errno 21] Is a directory"
+        assert want in capsys.readouterr().err
 
     def test_unknown_field_names_path(self, tmp_path, capsys):
         path = write_config(tmp_path, {"training": {"learning_rte": 1e-4}})
@@ -245,7 +253,7 @@ class TestConfigErrors:
         assert exp.disc == Discretization()
         assert exp.network == NetworkConfig(outputs=11)
         assert exp.training == TrainingConfig()
-        assert exp.reference == SolverConfig(burgers())
+        assert exp.n_cells == SolverConfig.n_cells
 
     def test_integral_float_settings_are_integers(self, tmp_path):
         path = tmp_path / "floats.yaml"
@@ -322,8 +330,8 @@ class TestRun:
         rows = (out / "errors.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.25", "0.5"]
         exp = cli.load_config(path)
-        _, snapshots = solve(dataclasses.replace(
-            exp.reference, t_final=0.5, snapshot_times=(0.25, 0.5)))
+        _, snapshots = solve(SolverConfig(
+            exp.pde, exp.n_cells, t_final=0.5, snapshot_times=(0.25, 0.5)))
         grid = exp.pde.initial_field(exp.disc.n_points)
         for t, snapshot in zip((0.25, 0.5), snapshots):
             profile = np.loadtxt(out / f"profile_t{t:g}.csv", delimiter=",", skiprows=1)
@@ -510,6 +518,19 @@ class TestSweep:
                          "--q", "1", "1", "--dt", "0.5", "0.5", "--nu", "0.0", "0.0"])
         assert code == 0
         assert calls == [(1, 0.5, 0.0)]
+
+    def test_negative_zero_viscosity_is_the_zero_cell(self, tmp_path):
+        # the cell's seed hashes repr(nu), and repr(-0.0) is not repr(0.0)
+        path = write_config(tmp_path, {"training": {"max_iterations": 2}})
+        rows = {}
+        for nus in (["0.0"], ["-0.0"], ["-0.0", "0.0"]):
+            out = tmp_path / "_".join(nus)
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                             "--q", "1", "--dt", "0.5", "--nu", *nus]) == 0
+            rows[" ".join(nus)] = (out / "sweep.csv").read_bytes().splitlines()[1:]
+        assert len(rows["0.0"]) == 1 and rows["0.0"][0].split(b",")[2] == b"0.0"
+        assert rows["-0.0"] == rows["0.0"]
+        assert rows["-0.0 0.0"] == rows["0.0"]
         assert len((out / "sweep.csv").read_text().splitlines()) == 2  # header and one row
 
     def test_rows_are_written_in_table_order(self, tmp_path, monkeypatch):

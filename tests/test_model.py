@@ -27,7 +27,7 @@ from hpinn.model import (
 )
 from hpinn.network import NetworkConfig, forward_stages, init_xavier
 from hpinn.pde import PdeSpec, burgers
-from hpinn.refsolver import SolverConfig
+from hpinn.refsolver import relative_error
 from hpinn.weno import DiscontinuityMask, GridField
 from loss_oracle import (
     compute_loss,
@@ -627,7 +627,7 @@ class TestMarch:
 
     def test_single_step_when_dt_equals_t_final(self):
         pde, disc, net, training = self.tiny_setup()
-        res = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
+        res = march(pde, disc, net, training, t_final=0.5, n_cells=64)
         assert len(res.fields) == 2
         assert len(res.diagnostics) == 1
 
@@ -651,16 +651,15 @@ class TestMarch:
         runs = []
         for _ in range(2):
             pde, disc, net, training = self.tiny_setup()
-            res = march(pde, disc, net, training, t_final=0.5,
-                        reference=SolverConfig(pde, n_cells=64))
+            res = march(pde, disc, net, training, t_final=0.5, n_cells=64)
             runs.append(res.fields[-1].values)
         assert np.array_equal(runs[0], runs[1])
 
     def test_seed_changes_trajectory(self):
         pde, disc, net, training = self.tiny_setup()
-        a = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
+        a = march(pde, disc, net, training, t_final=0.5, n_cells=64)
         pde, disc, net, training = self.tiny_setup(seed=1)
-        b = march(pde, disc, net, training, t_final=0.5, reference=SolverConfig(pde, n_cells=64))
+        b = march(pde, disc, net, training, t_final=0.5, n_cells=64)
         assert not np.array_equal(a.fields[-1].values, b.fields[-1].values)
 
     def test_errors_reported_at_eval_times(self):
@@ -670,11 +669,22 @@ class TestMarch:
         res = march(
             pde, disc, net, training, t_final=0.5,
             eval_times=(0.5, np.nextafter(0.25, 1.0), 0.25, 0.5),
-            reference=SolverConfig(pde, n_cells=64),
+            n_cells=64,
         )
         assert list(res.errors) == [0.25, 0.5]
-        assert list(res.reference) == [0.25, 0.5]
+        assert list(res.profiles) == [0.25, 0.5]
         assert all(np.isfinite(v) for v in res.errors.values())
+
+    def test_profiles_pair_each_eval_time_with_its_step_field(self):
+        # the prediction is the field at t's step boundary, not a copy of it,
+        # and the error is measured between the two arrays of the profile
+        pde, disc, net, training = self.tiny_setup(dt=0.25, max_iterations=5)
+        res = march(pde, disc, net, training, t_final=0.5, eval_times=(0.5, 0.25), n_cells=64)
+        for t, k in ((0.25, 1), (0.5, 2)):
+            pred, ref = res.profiles[t]
+            assert pred is res.fields[k]
+            assert (ref.x0, ref.dx, len(ref)) == (pred.x0, pred.dx, len(pred))
+            assert res.errors[t] == relative_error(pred, ref)
 
     def test_reference_that_cannot_run_fails_before_any_step(self):
         # 1e40 cells pass SolverConfig's checks but not the solver's grid
@@ -682,7 +692,7 @@ class TestMarch:
         steps = []
         with pytest.raises(ValueError):
             march(pde, disc, net, training, t_final=0.5, eval_times=(0.5,),
-                  reference=SolverConfig(pde, n_cells=10**40), on_step=steps.append)
+                  n_cells=10**40, on_step=steps.append)
         assert steps == []
 
 
