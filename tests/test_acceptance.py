@@ -258,13 +258,14 @@ def test_hybrid_beats_plain_pinn_at_t1(preset):
     # also prints its L2 against the exact solution next to the specified metric
     path = Path(__file__).resolve().parents[1] / "configs" / f"{preset}.yaml"
     exp = cli.load_config(path, seed_override=0)
+    assert (exp.t_final, exp.n_cells) == (1.0, 1000)
     training = dataclasses.replace(exp.training, max_iterations=20000)
     nu = exp.pde.viscosity
     l2, l1 = {}, {}
     for name, hybrid in (("hybrid", True), ("plain", False)):
         disc = dataclasses.replace(exp.disc, hybrid_enabled=hybrid)
-        result = march(exp.pde, disc, exp.network, training, t_final=1.0, eval_times=(1.0,),
-                       n_cells=1000)
+        result = march(exp.pde, disc, exp.network, training, t_final=exp.t_final,
+                       eval_times=(1.0,), n_cells=exp.n_cells)
         pred, ref = result.profiles[1.0]
         l2[name] = result.errors[1.0]
         l1[name] = float(np.abs(pred.values - ref.values).sum() / np.abs(ref.values).sum())

@@ -518,6 +518,7 @@ class TestSweep:
                          "--q", "1", "1", "--dt", "0.5", "0.5", "--nu", "0.0", "0.0"])
         assert code == 0
         assert calls == [(1, 0.5, 0.0)]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2  # header and one row
 
     def test_negative_zero_viscosity_is_the_zero_cell(self, tmp_path):
         # the cell's seed hashes repr(nu), and repr(-0.0) is not repr(0.0)
@@ -531,7 +532,6 @@ class TestSweep:
         assert len(rows["0.0"]) == 1 and rows["0.0"][0].split(b",")[2] == b"0.0"
         assert rows["-0.0"] == rows["0.0"]
         assert rows["-0.0 0.0"] == rows["0.0"]
-        assert len((out / "sweep.csv").read_text().splitlines()) == 2  # header and one row
 
     def test_rows_are_written_in_table_order(self, tmp_path, monkeypatch):
         # q and dt ascending, nu descending, whatever order the flags give
