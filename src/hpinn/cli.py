@@ -57,6 +57,7 @@ _Loader.add_implicit_resolver(
 )
 
 # Each setting's default is its type's own; only the outputs have no type.
+# The defaults are also the schema: `_merge` checks a value against its default's kind.
 _PDE, _DISC, _NET, _TRAIN = burgers(), Discretization(), NetworkConfig(), TrainingConfig()
 _DEFAULTS = {
     "pde": {"viscosity": _PDE.viscosity},
@@ -73,47 +74,49 @@ _DEFAULTS = {
 }
 
 
-def _merge(defaults, given, path=""):
-    if not isinstance(given, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping")
-    out = {}
-    for key, base in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if key not in given:
-            out[key] = base
-        elif isinstance(base, dict):
-            out[key] = _merge(base, given[key], here)
-        else:
-            out[key] = given[key]
-    for key in given:
-        if key not in defaults:
-            here = f"{path}.{key}" if path else key
-            raise ConfigError(f"{here}: unknown field")
-    return out
+def _kind(base, node, path):
+    """`node` as the kind of its default `base`; the range is for the type
+    that takes it to check.
 
-
-def _number(node, path):
-    """A finite number; the range is for the type that takes it to check."""
+    An int takes an integral, finite number, which YAML may also write as
+    2.0e5; a float takes a finite number and a list a nonempty list of
+    numbers.  A string is left to the type or check that owns it.
+    """
+    if isinstance(base, str):
+        return node
+    if isinstance(base, list):
+        if not isinstance(node, list) or not node:
+            raise ConfigError(f"{path}: expected a nonempty list")
+        return [_kind(base[0], item, path) for item in node]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {node!r}")
     if not abs(node) <= sys.float_info.max:  # exact for ints of any size
         raise ConfigError(f"{path}: expected a finite number, got {node!r}")
-    return float(node)
+    if isinstance(base, float):
+        return float(node)
+    if not float(node).is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {float(node)!r}")
+    return int(node)
 
 
-def _need_number(cfg, path):
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
-    return _number(node, path)
-
-
-def _need_int(cfg, path):
-    """An integral number, which YAML may also write as 2.0e5."""
-    value = _need_number(cfg, path)
-    if not value.is_integer():
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+def _merge(defaults, given, overrides, path=""):
+    """`given` over `defaults`, each value checked by `_kind`; a non-None
+    value in `overrides` (`--seed`, `--out`) takes its key's place unread."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path or 'config'}: expected a mapping")
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+    out = {}
+    for key, base in defaults.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(base, dict):
+            out[key] = _merge(base, given.get(key, {}), overrides.get(key, {}), here)
+        elif overrides.get(key) is not None:
+            out[key] = overrides[key]
+        else:
+            out[key] = _kind(base, given[key], here) if key in given else base
+    return out
 
 
 def _checked(path, build, *args, **kwargs):
@@ -151,51 +154,30 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
         raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
-    cfg = _merge(_DEFAULTS, raw or {})
+    if out_override is not None:
+        out_override = str(out_override)
+    overrides = {"network": {"seed": seed_override}, "outputs": {"directory": out_override}}
+    cfg = _merge(_DEFAULTS, {} if raw is None else raw, overrides)  # None: an empty document
 
-    pde = _checked("pde", dataclasses.replace, _PDE, viscosity=_need_number(cfg, "pde.viscosity"))
-
-    disc = _checked(
-        "discretization", Discretization,
-        n_points=_need_int(cfg, "discretization.n_points"),
-        dt=_need_number(cfg, "discretization.dt"),
-        q_stages=_need_int(cfg, "discretization.q_stages"),
-    )
+    pde = _checked("pde", dataclasses.replace, _PDE, **cfg["pde"])
+    disc = _checked("discretization", Discretization, **cfg["discretization"])
     _checked("discretization.q_stages", check_stage_count, disc.q_stages)
+    net, train = dict(cfg["network"]), dict(cfg["training"])
+    network = _checked("network", NetworkConfig, hidden_layers=net.pop("layers"),
+                       outputs=disc.q_stages + 1, **net)
+    training = _checked("training", TrainingConfig, loss_tolerance=train.pop("tolerance"),
+                        **train)
 
-    seed = _need_int(cfg, "network.seed") if seed_override is None else int(seed_override)
-    cfg["network"]["seed"] = seed
-    network = _checked(
-        "network", NetworkConfig,
-        hidden_layers=_need_int(cfg, "network.layers"),
-        width=_need_int(cfg, "network.width"),
-        outputs=disc.q_stages + 1,
-        seed=seed,
-    )
-
-    training = _checked(
-        "training", TrainingConfig,
-        learning_rate=_need_number(cfg, "training.learning_rate"),
-        loss_tolerance=_need_number(cfg, "training.tolerance"),
-        max_iterations=_need_int(cfg, "training.max_iterations"),
-        loss_reduction=cfg["training"]["loss_reduction"],
-    )
-
-    t_final = _need_number(cfg, "outputs.t_final")
-    times = cfg["outputs"]["profile_times"]
-    if not isinstance(times, (list, tuple)) or not times:
-        raise ConfigError("outputs.profile_times: expected a nonempty list")
-    profile_times = [_number(t, "outputs.profile_times") for t in times]
+    t_final, times = cfg["outputs"]["t_final"], cfg["outputs"]["profile_times"]
     _checked("outputs.t_final", step_count, t_final, disc.dt)
-    _, steps = _checked("outputs.profile_times", step_count, t_final, disc.dt, profile_times)
+    _, steps = _checked("outputs.profile_times", step_count, t_final, disc.dt, times)
 
-    n_cells = _need_int(cfg, "reference.n_cells")
+    n_cells = cfg["reference"]["n_cells"]
     _checked("reference", SolverConfig, pde=pde, n_cells=n_cells)
 
-    out_dir, where = cfg["outputs"]["directory"], "outputs.directory"
-    if out_override is not None:
-        out_dir, where = str(out_override), "--out"
+    out_dir = cfg["outputs"]["directory"]
     if not isinstance(out_dir, str) or not out_dir:  # Path("") is the current directory
+        where = "outputs.directory" if out_override is None else "--out"
         raise ConfigError(f"{where}: expected a path string, got {out_dir!r}")
     cfg["outputs"]["directory"] = str(Path(out_dir))
     return Experiment(
@@ -218,8 +200,9 @@ def _make_out_dir(path: Path):
     """Create `path`; a path that cannot be a directory is a ConfigError."""
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output directory {path}: {err.strerror or err}") from err
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte, which no path may hold
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"cannot create output directory {path}: {reason}") from err
 
 
 def _atomic_write(path: Path, text: str):

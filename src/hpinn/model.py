@@ -349,15 +349,19 @@ def step_count(t_final: float, dt: float, eval_times=()):
 
     Raises ValueError unless t_final is a multiple of dt and every eval time
     is a step boundary in (0, t_final]: the march trains nothing to compare
-    at t = 0.
+    at t = 0.  Both are k * dt to within the same 1e-12.
     """
-    n_steps = int(round(t_final / dt)) if dt > 0.0 else 0
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-12:
+    def boundary(t):  # the k with k * dt == t up to round-off, else 0
+        k = int(round(t / dt)) if dt > 0.0 else 0
+        return k if abs(k * dt - t) <= 1e-12 else 0
+
+    n_steps = boundary(t_final)
+    if n_steps < 1:
         raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
     steps = {}
     for t in sorted(map(float, eval_times)):
-        k = int(round(t / dt))
-        if not 1 <= k <= n_steps or abs(k * dt - t) > 1e-9:
+        k = boundary(t)
+        if not 1 <= k <= n_steps:
             raise ValueError(f"eval time {t} does not land on a step boundary in (0, {t_final}]")
         steps.setdefault(k, t)
     return n_steps, steps

@@ -193,20 +193,11 @@ def test_criterion_4_indicator_behavior():
 # -- criterion 5: reference solver -------------------------------------------------
 
 
-def characteristics_solution(x, t, iters=80):
-    u = -np.sin(np.pi * x)
-    for _ in range(iters):
-        g = u + np.sin(np.pi * (x - u * t))
-        dg = 1.0 - np.pi * t * np.cos(np.pi * (x - u * t))
-        u = u - g / dg
-    return u
-
-
 def test_criterion_5_reference_solver():
     pde = burgers(0.0)
     _, fields = solve(SolverConfig(pde=pde, n_cells=1000, t_final=0.2, snapshot_times=(0.2,)))
     u = fields[0]
-    char_err = np.max(np.abs(u.values - characteristics_solution(u.x, 0.2)))
+    char_err = np.max(np.abs(u.values - exact_oracle.inviscid(u.x, 0.2)))
 
     peaks, tvs = [], []
     solve(

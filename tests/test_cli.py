@@ -121,6 +121,14 @@ class TestConfigErrors:
         assert code == 2
         assert "config error: config: expected a mapping" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+        # only an empty document (YAML null) takes every default: a false
+        # document that is not a mapping is refused like a list
+        for text in ("0\n", "[]\n", "false\n", "''\n"):
+            path.write_text(text)
+            code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
+            assert code == 2, text
+            assert "config error: config: expected a mapping" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     def test_profile_beyond_t_final(self, tmp_path):
         path = write_config(tmp_path, {"outputs": {"profile_times": [0.9]}})
@@ -152,6 +160,10 @@ class TestConfigErrors:
          "discretization: dt must be finite and positive, got 0.0"),
         ({"outputs": {"profile_times": []}}, [],
          "outputs.profile_times: expected a nonempty list"),
+        # t_final and an eval time are step boundaries to the same 1e-12
+        ({"outputs": {"profile_times": [0.5000000001]}}, [],
+         "outputs.profile_times: eval time 0.5000000001 does not land on a step boundary"
+         " in (0, 0.5]"),
     ])
     def test_setting_the_package_rejects(self, tmp_path, capsys, overrides, flags, message):
         # the package's own checks (PdeSpec, NetworkConfig, TrainingConfig,
@@ -245,6 +257,22 @@ class TestConfigErrors:
         assert f"config error: cannot create output directory {out}: " in capsys.readouterr().err
         assert blocker.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("verb", ["run", "baseline", "reference", "sweep"])
+    def test_output_directory_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      verb):
+        def no_work(*args, **kwargs):
+            raise AssertionError("nothing may be trained or solved")
+
+        monkeypatch.setattr(cli, "march", no_work)
+        monkeypatch.setattr(cli, "solve", no_work)
+        out = f"{tmp_path}/a\0b"  # no path may hold a NUL byte
+        path = write_config(tmp_path, {"outputs": {"directory": out}})
+        swept = ["--dt", "0.5"] if verb == "sweep" else []
+        assert cli.main([verb, "--config", str(path), *swept]) == 2
+        want = f"config error: cannot create output directory {out}: embedded null byte"
+        assert want in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
     def test_empty_file_takes_the_types_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
@@ -263,6 +291,14 @@ class TestConfigErrors:
         assert exp.training.max_iterations == 200000
         assert type(exp.training.max_iterations) is int
         assert exp.disc.q_stages == 10 and exp.network.outputs == 11
+
+    def test_echo_holds_the_typed_values(self, tmp_path):
+        # each setting takes the kind of its default, and the echo holds it
+        path = tmp_path / "kinds.yaml"
+        path.write_text("training: {max_iterations: 2.0e5}\npde: {viscosity: 0}\n")
+        resolved = cli.load_config(path).resolved
+        assert json.dumps(resolved["training"]["max_iterations"]) == "200000"
+        assert json.dumps(resolved["pde"]["viscosity"]) == "0.0"
 
     def test_yaml_exponent_literals_are_numbers(self, tmp_path):
         # YAML 1.2 floats; PyYAML's YAML 1.1 resolver reads them as strings

@@ -646,6 +646,9 @@ class TestMarch:
         pde, disc, net, training = self.tiny_setup()
         with pytest.raises(ValueError):
             march(pde, disc, net, training, t_final=0.5, eval_times=(0.27,))
+        # 1e-10 past t_final: an eval time is a boundary to the same 1e-12 as t_final
+        with pytest.raises(ValueError, match="does not land on a step boundary"):
+            march(pde, disc, net, training, t_final=0.5, eval_times=(0.5000000001,))
 
     def test_deterministic_trajectories(self):
         runs = []
