@@ -32,7 +32,7 @@ from .autodiff import Graph, Value, fused
 from .irk import ButcherTableau, gauss_legendre_tableau
 from .network import NetworkConfig, NetworkParameters, init_xavier, stacked_stages
 from .pde import PdeSpec
-from .refsolver import SolverConfig, reference_on_grid, relative_error, solve
+from .refsolver import TIME_TOL, SolverConfig, reference_on_grid, relative_error, solve
 from .weno import (
     MASK_DILATION,
     MIN_POINTS,
@@ -349,11 +349,12 @@ def step_count(t_final: float, dt: float, eval_times=()):
 
     Raises ValueError unless t_final is a multiple of dt and every eval time
     is a step boundary in (0, t_final]: the march trains nothing to compare
-    at t = 0.  Both are k * dt to within the same 1e-12.
+    at t = 0.  Both are k * dt to within the same `TIME_TOL`.
     """
     def boundary(t):  # the k with k * dt == t up to round-off, else 0
-        k = int(round(t / dt)) if dt > 0.0 else 0
-        return k if abs(k * dt - t) <= 1e-12 else 0
+        ratio = t / dt if dt > 0.0 else 0.0  # inf where t / dt overflows
+        k = round(ratio) if math.isfinite(ratio) else 0
+        return k if abs(k * dt - t) <= TIME_TOL else 0
 
     n_steps = boundary(t_final)
     if n_steps < 1:

@@ -39,6 +39,8 @@ LAMBDA_SAFETY = 1.2
 # Courant number of every step: the share of the hyperbolic and explicit
 # viscous bounds a step may take.
 CFL = 0.4
+# Two times this close are one: a step boundary k * dt, a snapshot, a solve's stop.
+TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class SolverConfig:
         # never reached (nan): every comparison with nan is false
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and nonnegative")
-        if not all(0.0 <= t <= self.t_final + 1e-12 for t in self.snapshot_times):
+        if not all(0.0 <= t <= self.t_final + TIME_TOL for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_final]")
 
 
@@ -129,7 +131,7 @@ def solve(config: SolverConfig, monitor=None):
     out_fields = []
     t = 0.0
     for target in wanted:
-        while t < target - 1e-12:
+        while t < target - TIME_TOL:
             dt = min(stable_dt(u, dx, pde), target - t)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):

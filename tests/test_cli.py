@@ -14,7 +14,7 @@ import yaml
 from hpinn import cli
 from hpinn.model import Discretization, StepDiagnostics, TrainingConfig, TrainingDivergedError
 from hpinn.network import NetworkConfig
-from hpinn.pde import burgers
+from hpinn.pde import PdeSpec, burgers
 from hpinn.refsolver import SolverConfig, reference_on_grid, solve
 from hpinn.weno import GridField
 
@@ -164,6 +164,10 @@ class TestConfigErrors:
         ({"outputs": {"profile_times": [0.5000000001]}}, [],
          "outputs.profile_times: eval time 0.5000000001 does not land on a step boundary"
          " in (0, 0.5]"),
+        # t_final / dt overflows to inf, which is no step count
+        ({"discretization": {"dt": 1.0e-300},
+          "outputs": {"t_final": 1.0e300, "profile_times": [1.0e300]}}, [],
+         "outputs.t_final: t_final=1e+300 is not a multiple of dt=1e-300"),
     ])
     def test_setting_the_package_rejects(self, tmp_path, capsys, overrides, flags, message):
         # the package's own checks (PdeSpec, NetworkConfig, TrainingConfig,
@@ -430,9 +434,12 @@ class TestReference:
 
     def test_non_finite_solve_exits_3(self, tmp_path, capsys, monkeypatch):
         # a flux scaled by 1e200 overflows in the first step
-        pde = cli._PDE
-        monkeypatch.setattr(cli, "_PDE", dataclasses.replace(
-            pde, flux=lambda u: 1.0e200 * pde.flux(u)))
+        class Overflowing(PdeSpec):
+            @staticmethod
+            def flux(u):
+                return 1.0e200 * PdeSpec.flux(u)
+
+        monkeypatch.setattr(cli, "_PDE", Overflowing(cli._PDE.viscosity))
         path = write_config(tmp_path)
         code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 3
@@ -500,7 +507,10 @@ class TestSweep:
          "--q: 0, 101 is not a stage count in [1, 100]"),
         (["--q", "1", "--dt", "0.25", "--nu", "0.0", "-0.1", "-0.01", "nan", "inf"],
          "--nu: -0.1, -0.01, nan, inf is not a nonnegative viscosity"),
-    ], ids=["dt", "q", "nu"])
+        # t_final / dt overflows to inf, which is no step count
+        (["--q", "1", "--dt", "1e-320", "--nu", "0.0"],
+         "--dt: 1e-320 does not divide t_final=0.5"),
+    ], ids=["dt", "q", "nu", "dt-overflow"])
     def test_rejected_swept_values_exit_2(self, tmp_path, monkeypatch, capsys, swept,
                                           message):
         def march(*args, **kwargs):

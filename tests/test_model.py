@@ -225,6 +225,32 @@ class TestFusedNetwork:
             assert g.shape == w.shape and np.array_equal(g, w)
 
 
+class CubicFlux(PdeSpec):
+    """f = u^3/3, whose f''(u) = 2u is not a constant."""
+
+    @staticmethod
+    def flux(u):
+        return u * u * u * (1.0 / 3.0)
+
+    @staticmethod
+    def dflux(u):
+        return u * u
+
+    @staticmethod
+    def ddflux(u):
+        return 2.0 * u
+
+
+class RealOnlySpeed(PdeSpec):
+    """Burgers' equation whose f' refuses complex input."""
+
+    @staticmethod
+    def dflux(u):
+        if np.iscomplexobj(u):
+            raise TypeError("dflux takes real input only")
+        return u
+
+
 class TestLossNode:
     """The one-node loss tail against the node-per-op composition it replaced."""
 
@@ -232,9 +258,8 @@ class TestLossNode:
     X = np.linspace(-1.0, 1.0, N)
     SHOCK = np.where(X < 0.0, 1.0, -1.0) * (1.0 - np.abs(X))
 
-    def case(self, nu, q, flagged, seed=0, layers=2,
-              dflux=lambda u: u, flux=lambda u: u * u * 0.5, ddflux=lambda u: 1.0):
-        pde = PdeSpec(flux=flux, dflux=dflux, ddflux=ddflux, viscosity=nu)
+    def case(self, nu, q, flagged, seed=0, layers=2, spec=PdeSpec):
+        pde = spec(viscosity=nu)
         disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
         data = GridField(self.SHOCK, -1.0, self.X[1] - self.X[0])
         state = step_state(data, 0.3, pde, disc)  # the dilated indicator mask
@@ -290,10 +315,7 @@ class TestLossNode:
     def test_curvature_of_a_cubic_flux(self, flagged):
         # f = u^3/3: the convection gradient needs f''(u) = 2u, which the
         # node takes from ddflux; the oracle builds u*u as nodes
-        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 3, flagged,
-                                                   flux=lambda u: u * u * u * (1.0 / 3.0),
-                                                   dflux=lambda u: u * u,
-                                                   ddflux=lambda u: 2.0 * u)
+        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 3, flagged, spec=CubicFlux)
         state = dataclasses.replace(state, lam=1.1 * pde.max_speed(state.data.values))
         losses, grads = self.losses_and_gradients(
             *build_loss_graph(params, state, tab, pde, disc)[:2], params)
@@ -307,12 +329,8 @@ class TestLossNode:
         assert burgers().ddflux(np.linspace(-1.0, 1.0, 7)) == 1.0
 
     def test_train_step_never_passes_complex_input_to_dflux(self):
-        def dflux(u):
-            if np.iscomplexobj(u):
-                raise TypeError("dflux takes real input only")
-            return u
-
-        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 2, "dilated", dflux=dflux)
+        params, state, tab, pde, disc = self.case(1e-4 / np.pi, 2, "dilated",
+                                                   spec=RealOnlySpeed)
         config = TrainingConfig(max_iterations=3, loss_tolerance=1e-300)
         _, u_next, diag = train_step(state, params, tab, pde, disc, config)
         assert diag.iterations == 3 and np.all(np.isfinite(u_next.values))
@@ -615,6 +633,9 @@ class TestSettingTypes:
         # sweep cells under --jobs receive the loaded spec by pickle
         pde = burgers(0.01)
         assert pickle.loads(pickle.dumps(pde)) == pde
+        # the viscosity is its one setting: f, f' and f'' are its methods
+        assert [f.name for f in dataclasses.fields(PdeSpec)] == ["viscosity"]
+        assert pde == PdeSpec(viscosity=0.01)
 
 
 class TestMarch:

@@ -36,13 +36,36 @@ def characteristics_solution(x, t, newton_iters=60):
     return u
 
 
-def linear_advection():
-    return PdeSpec(
-        flux=lambda u: u,
-        dflux=lambda u: np.ones_like(u) if isinstance(u, np.ndarray) else 1.0,
-        ddflux=lambda u: 0.0,
-        viscosity=0.0,
-    )
+class LinearAdvection(PdeSpec):
+    """u_t + u_x = nu u_xx: f(u) = u."""
+
+    @staticmethod
+    def flux(u):
+        return u
+
+    @staticmethod
+    def dflux(u):
+        return np.ones_like(u) if isinstance(u, np.ndarray) else 1.0
+
+    @staticmethod
+    def ddflux(u):
+        return 0.0
+
+
+class Diffusion(PdeSpec):
+    """u_t = nu u_xx: f(u) = 0."""
+
+    @staticmethod
+    def flux(u):
+        return np.zeros_like(u)
+
+    @staticmethod
+    def dflux(u):
+        return np.zeros_like(u)
+
+    @staticmethod
+    def ddflux(u):
+        return 0.0
 
 
 class TestGhosts:
@@ -68,7 +91,7 @@ class TestRhs:
         assert not out.any()
 
     def test_linear_advection_of_linear_data(self):
-        pde = linear_advection()
+        pde = LinearAdvection()
         x = np.linspace(-1, 1, 41)
         out = rhs(x, x[1] - x[0], pde)
         assert np.max(np.abs(out[3:-3] + 1.0)) < 1e-12
@@ -77,12 +100,7 @@ class TestRhs:
         errs = []
         for n in (64, 128):
             x = np.linspace(-1, 1, n)
-            pde = PdeSpec(
-                flux=lambda u: np.zeros_like(u),
-                dflux=lambda u: np.zeros_like(u),
-                ddflux=lambda u: 0.0,
-                viscosity=0.5,
-            )
+            pde = Diffusion(viscosity=0.5)
             out = rhs(np.sin(np.pi * x), x[1] - x[0], pde)
             exact = -0.5 * np.pi**2 * np.sin(np.pi * x)
             errs.append(np.max(np.abs(out - exact)))
