@@ -336,7 +336,7 @@ def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
              for nu in sorted(nus, reverse=True)]
     workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms: only --jobs N>1 pays it
+        from concurrent.futures import ProcessPoolExecutor  # as `march` does: no import-time cost
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

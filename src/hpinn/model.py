@@ -21,6 +21,7 @@ fixed and differentiable during the step; the mask is dilated
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -368,6 +369,11 @@ def step_count(t_final: float, dt: float, eval_times=()):
     return n_steps, steps
 
 
+def _reference_snapshots(config: SolverConfig) -> list:
+    """`solve`'s fields: what `march`'s worker process runs and sends back."""
+    return solve(config)[1]
+
+
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
           n_cells: int = SolverConfig.n_cells,
@@ -377,36 +383,48 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
 
     Every step re-freezes the mask and lam from the current data and
     warm-starts from the previous step's trained parameters.  The network
-    gets q+1 outputs whatever `net_config.outputs` says.  The reference is
-    solved on `n_cells` cells before the first step, so a reference the
-    solver cannot run costs no training.  `step_count` checks `eval_times`,
-    sorts them and merges them by step boundary.  At each, the reference is
-    put once onto the prediction's grid, and both the error and
-    `MarchResult.profiles` come from that one array.
+    gets q+1 outputs whatever `net_config.outputs` says.  `step_count`
+    checks `eval_times`, sorts them and merges them by step boundary.  When
+    there are any, the reference is solved on `n_cells` cells in one worker
+    process while the steps train here.  A reference grid the solver cannot
+    build fails before the first step, so it costs no training; a solve that
+    fails later stops the march at the next step boundary with the solver's
+    own exception.  Training never waits for the solve; the march waits for
+    it after the last step, and no worker outlives the call.  At each eval
+    time the reference is put once onto the prediction's grid, and both the
+    error and `MarchResult.profiles` come from that one array.
     """
     n_steps, steps = step_count(t_final, disc.dt, eval_times)
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
-    snapshots = []
-    if steps:
-        times = tuple(steps.values())
-        _, snapshots = solve(SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times))
-
-    fields = [pde.initial_field(disc.n_points)]
-
-    params = init_xavier(net_config)
-    diagnostics = []
-    for n in range(n_steps):
-        state = step_state(fields[-1], n * disc.dt, pde, disc)
-        params, u_next, diag = train_step(
-            state, params, tableau, pde, disc, training, step_index=n
-        )
-        fields.append(u_next)
-        diagnostics.append(diag)
-        if on_step is not None:
-            on_step(diag)
+    solving = None
+    with contextlib.ExitStack() as stack:
+        if steps:
+            times = tuple(steps.values())
+            reference = SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times)
+            pde.initial_field(n_cells)  # the solver's start: a grid it cannot build fails here
+            # imported here, ~20 ms: only a march with eval times pays it
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            # a module-level function pickles by name, whatever wraps `solve`
+            solving = pool.submit(_reference_snapshots, reference)
+        fields = [pde.initial_field(disc.n_points)]
+        params = init_xavier(net_config)
+        diagnostics = []
+        for n in range(n_steps):
+            if solving is not None and solving.done():
+                solving.result()  # re-raises a failed solve's exception
+            state = step_state(fields[-1], n * disc.dt, pde, disc)
+            params, u_next, diag = train_step(
+                state, params, tableau, pde, disc, training, step_index=n
+            )
+            fields.append(u_next)
+            diagnostics.append(diag)
+            if on_step is not None:
+                on_step(diag)
+        snapshots = solving.result() if solving is not None else []
 
     errors, profiles = {}, {}
     for (k, t), snapshot in zip(steps.items(), snapshots):

@@ -8,7 +8,8 @@ The reference solver (``weno_derivative``) runs it on a whole ghost-padded
 field and the training loss (``SparseWenoZ``, with a hand-written VJP that
 ``model.loss_node`` calls) on the cells from 3 before the first flagged point
 to 3 after the last, so a mask with one flagged run (one shock) costs only its
-own points and a mask with two also computes the points between them.  The
+own points and a mask with two also computes the points between them, from
+zeros where no flagged stencil reads.  The
 kernel runs on one slot-first (5, M) stencil array through its substencil
 windows S[0:3], S[1:4] and S[2:5], as does the indicator's beta_0..beta_2.
 Every sum keeps the order of the formulas written out term by term.  The
@@ -264,24 +265,32 @@ class SparseWenoZ:
     Construction fixes, once per frozen mask (which must flag a point), the
     flagged points and the window of cells their stencils read: grid cells
     first - GHOST .. last + GHOST, with the wall value 0 in the cells beyond
-    each wall.  A call copies u's window and runs `_weno_dx` on it, so each
-    value is bit for bit `weno_derivative`'s from the zero-padded field.  The
-    window holds one cell per row and the rows of u along the last axis, so
-    each copy moves whole rows.  Between two flagged runs the window computes
-    unflagged points too; a mask with one run, as one shock gives, has none.
-    `vjp` differentiates the last call; each window cell sums its six terms
-    in the order m = 0 .. 5.  The last call's tape lives in the instance's
-    one `_Buffer` until the next call overwrites it.
+    each wall.  A call copies into the window the cells of u some flagged
+    stencil reads and runs `_weno_dx` on it, so each value is bit for bit
+    `weno_derivative`'s from the zero-padded field.  The window holds one
+    cell per row and the rows of u along the last axis, so each copy moves
+    whole rows.  Between two flagged runs the window computes unflagged
+    points too, from 0 in the cells no flagged stencil reads, so a value
+    there that would overflow the kernel cannot put NaN in the gradient
+    through a zero cotangent; a mask with one run, as one shock gives, has
+    no such points.  `vjp` differentiates the last call; each window cell
+    sums its six terms in the order m = 0 .. 5, and a grid cell no flagged
+    stencil reads gets 0.  The last call's tape lives in the instance's one
+    `_Buffer` until the next call overwrites it.
     """
 
     def __init__(self, flags, flux_fn, dflux_fn, lam: float, dx: float):
         self.points = points = np.flatnonzero(flags)
         self._n = n = len(flags)
-        first, stop = points[0] - GHOST, points[-1] + GHOST + 1
-        self._width = stop - first
-        # the window's cells on the grid, and where they sit in the window
-        self._cells = slice(max(first, 0), min(stop, n))
-        self._inner = slice(self._cells.start - first, self._cells.stop - first)
+        first = points[0] - GHOST
+        self._width = points[-1] + GHOST + 1 - first
+        # each run of grid cells some flagged stencil reads, as (its cells on
+        # the grid, where they sit in the window): one piece per mask run, or
+        # fewer where two runs' stencils share or touch a cell
+        read = np.zeros(n + 2, dtype=bool)
+        read[1:-1] = dilate_mask(DiscontinuityMask(flags), GHOST).flags
+        edges = np.flatnonzero(read[1:] != read[:-1]).reshape(-1, 2).tolist()
+        self._pieces = [(slice(a, b), slice(a - first, b - first)) for a, b in edges]
         self.flux_fn, self.dflux_fn, self.lam, self.dx = flux_fn, dflux_fn, lam, dx
         self._buf = _Buffer()
 
@@ -289,7 +298,8 @@ class SparseWenoZ:
         """WENO-Z f(u)_x at `points` from u on the whole grid (..., n)."""
         rows = u.reshape(-1, self._n)
         window = np.zeros((self._width, len(rows)))
-        window[self._inner] = rows[:, self._cells].T
+        for cells, inner in self._pieces:
+            window[inner] = rows[:, cells].T
         d, tape = _weno_dx(window, self.flux_fn, self.lam, self.dx, self._buf)
         self._tape = (window, tape)
         return d[self.points - self.points[0]].T.reshape(u.shape[:-1] + (len(self.points),))
@@ -325,7 +335,8 @@ class SparseWenoZ:
         for m in range(2 * GHOST):
             gw[m : m + ifaces] += gue[m]
         du = np.zeros((rows, self._n))
-        du[:, self._cells] = gw[self._inner].T
+        for cells, inner in self._pieces:
+            du[:, cells] = gw[inner].T
         return du.reshape(grad.shape[:-1] + (self._n,))
 
 

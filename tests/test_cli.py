@@ -28,6 +28,15 @@ TINY = {
 }
 
 
+class Overflowing(PdeSpec):
+    """Burgers with its flux scaled by 1e200, which overflows a reference solve's
+    first step; at module level, so a march's worker process can unpickle it."""
+
+    @staticmethod
+    def flux(u):
+        return 1.0e200 * PdeSpec.flux(u)
+
+
 def write_config(tmp_path, overrides=None, name="config.yaml"):
     cfg = yaml.safe_load(yaml.safe_dump(TINY))
     for section, fields in (overrides or {}).items():
@@ -404,6 +413,19 @@ class TestRun:
             assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_reference_that_overflows_in_its_worker_exits_3(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the worker's FloatingPointError reaches the verb as itself; `baseline`
+        # trains a plain PINN, which never evaluates the flux
+        monkeypatch.setattr(cli, "_PDE", Overflowing(cli._PDE.viscosity))
+        path = write_config(tmp_path, {"training": {"max_iterations": 5}})
+        code = cli.main(["baseline", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: reference solve went non-finite at t=0" in err
+        assert "Traceback" not in err
+
+
 class TestBaseline:
     def test_baseline_column_name(self, tmp_path):
         path = write_config(tmp_path)
@@ -433,12 +455,6 @@ class TestReference:
         assert [f.name for f in out.iterdir()] == ["reference_t0.5.csv"]
 
     def test_non_finite_solve_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a flux scaled by 1e200 overflows in the first step
-        class Overflowing(PdeSpec):
-            @staticmethod
-            def flux(u):
-                return 1.0e200 * PdeSpec.flux(u)
-
         monkeypatch.setattr(cli, "_PDE", Overflowing(cli._PDE.viscosity))
         path = write_config(tmp_path)
         code = cli.main(["reference", "--config", str(path), "--out", str(tmp_path / "x")])
@@ -691,9 +707,25 @@ def test_package_imports_no_scipy():
 
 
 def test_package_imports_no_process_pool():
-    # only a parallel sweep (--jobs N>1) needs the pool, so only it imports one
+    # a march with eval times and a parallel sweep (--jobs N>1) import the
+    # pool when they start one; importing the package loads none
     proc = run_fresh_interpreter(
         "-c", "import sys, hpinn, hpinn.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_spawned_reference_worker_writes_the_same_bytes(tmp_path):
+    # the worker that solves the reference starts from a fresh import under
+    # "spawn" (and "forkserver"), so everything it is sent must pickle
+    path = write_config(tmp_path, {"training": {"max_iterations": 20}})
+    default, spawned = tmp_path / "default", tmp_path / "spawned"
+    assert cli.main(["run", "--config", str(path), "--out", str(default)]) == 0
+    proc = run_fresh_interpreter(
+        "-c", "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+        "from hpinn import cli; sys.exit(cli.main(sys.argv[1:]))",
+        "run", "--config", str(path), "--out", str(spawned))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("errors.csv", "profile_t0.5.csv"):
+        assert (spawned / name).read_bytes() == (default / name).read_bytes(), name

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import multiprocessing
 import pickle
+import time
 import weakref
 from functools import partial
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hpinn.autodiff as ad
+import hpinn.model
 from hpinn.autodiff import Graph, Jet, Value
 from hpinn.irk import gauss_legendre_tableau
 from hpinn.model import (
@@ -638,6 +641,16 @@ class TestSettingTypes:
         assert pde == PdeSpec(viscosity=0.01)
 
 
+class OverflowingFlux(PdeSpec):
+    """Burgers with its flux scaled by 1e200: the reference solve overflows in
+    its first step; a plain PINN never evaluates the flux.  Defined at module
+    level, so the march's worker process can unpickle it."""
+
+    @staticmethod
+    def flux(u):
+        return 1.0e200 * PdeSpec.flux(u)
+
+
 class TestMarch:
     def tiny_setup(self, **kw):
         pde = burgers(0.0)
@@ -718,6 +731,48 @@ class TestMarch:
             march(pde, disc, net, training, t_final=0.5, eval_times=(0.5,),
                   n_cells=10**40, on_step=steps.append)
         assert steps == []
+
+    def test_reference_that_fails_later_stops_the_march_at_a_step_boundary(self):
+        # the first step waits long enough for the worker's solve to overflow,
+        # so the check before the second step re-raises the solver's error
+        pde, disc, net, training = self.tiny_setup(dt=0.25, max_iterations=5)
+        disc = dataclasses.replace(disc, hybrid_enabled=False)
+        steps = []
+
+        def on_step(diag):
+            steps.append(diag)
+            time.sleep(0.5)
+
+        with pytest.raises(FloatingPointError, match="reference solve went non-finite at t=0"):
+            march(OverflowingFlux(), disc, net, training, t_final=0.5, eval_times=(0.5,),
+                  n_cells=64, on_step=on_step)
+        assert len(steps) <= 1  # not only after the last step
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("eval_times,workers", [((0.5,), 1), ((), 0)])
+    def test_one_reference_worker_while_training_and_none_after(self, eval_times, workers):
+        # a march without eval times solves no reference and starts no process
+        pde, disc, net, training = self.tiny_setup(dt=0.25, max_iterations=5)
+        seen = []
+        march(pde, disc, net, training, t_final=0.5, eval_times=eval_times, n_cells=64,
+              on_step=lambda diag: seen.append(len(multiprocessing.active_children())))
+        assert seen == [workers, workers]
+        assert multiprocessing.active_children() == []
+
+    def test_diverged_march_leaves_no_worker(self, monkeypatch):
+        def diverge_at_step_1(state, *args, step_index=0):
+            if step_index == 1:
+                raise TrainingDivergedError("step 1 (t=0.25) aborted: non-finite loss")
+            return train_step(state, *args, step_index=step_index)
+
+        monkeypatch.setattr(hpinn.model, "train_step", diverge_at_step_1)
+        pde, disc, net, training = self.tiny_setup(dt=0.25, max_iterations=5)
+        steps = []
+        with pytest.raises(TrainingDivergedError, match="step 1"):
+            march(pde, disc, net, training, t_final=0.5, eval_times=(0.5,), n_cells=64,
+                  on_step=steps.append)
+        assert len(steps) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestAdam:

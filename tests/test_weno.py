@@ -372,6 +372,25 @@ class TestSparseWenoZ:
         assert value.tobytes() == want.tobytes()
         assert op.vjp(cotangent).tobytes() == fresh.vjp(cotangent).tobytes()
 
+    def test_cells_between_runs_put_no_nan_in_the_gradient(self):
+        # the flux of 1e60 overflows the kernel, but no flagged stencil reads
+        # cells 18-25: points 5 and 34 read cells 2-8 and 31-37
+        flags = np.zeros(40, dtype=np.int64)
+        flags[[5, 34]] = 1
+        u = np.zeros(40)
+        u[18:26] = 1e60
+        op = SparseWenoZ(flags, BURGERS_FLUX, lambda v: v, 1.0, 0.05)
+        assert op(u).tolist() == [0.0, 0.0]
+        grad = op.vjp(np.ones(2))
+        assert np.all(np.isfinite(grad))
+        read = np.zeros(40, dtype=bool)
+        read[2:9] = read[31:38] = True
+        assert np.all(grad[~read] == 0.0)
+        # the cells between the stencils change nothing that is read
+        zeros = SparseWenoZ(flags, BURGERS_FLUX, lambda v: v, 1.0, 0.05)
+        zeros(np.zeros(40))
+        assert grad.tobytes() == zeros.vjp(np.ones(2)).tobytes()
+
     def test_one_kernel_buffer_per_instance(self, monkeypatch):
         made, init = [], _Buffer.__init__
 
