@@ -150,39 +150,25 @@ class TrainingDivergedError(RuntimeError):
 
 
 class Adam:
-    """Full-batch Adam over a list of parameter leaves.
+    """Full-batch Adam over a flat vector, in place; the caller fills ``grad`` before a step."""
 
-    The leaves' values move into one flat vector, and each leaf's ``data``
-    becomes a view of its slice, so a step is one update of the whole vector.
-    """
-
-    def __init__(self, leaves, lr=1e-4):
-        self.leaves = list(leaves)
+    def __init__(self, vector, grad, lr=1e-4):
+        self.vector = vector
+        self.grad = grad
         self.lr = lr
         self.t = 0
-        self.params = np.concatenate([p.data.ravel() for p in self.leaves])
-        self.grad = np.empty_like(self.params)
-        self._grads = []
-        start = 0
-        for p in self.leaves:
-            stop = start + p.data.size
-            p.data = self.params[start:stop].reshape(p.data.shape)
-            self._grads.append(self.grad[start:stop].reshape(p.data.shape))
-            start = stop
-        self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params)
+        self.m = np.zeros_like(vector)
+        self.v = np.zeros_like(vector)
 
     def step(self):
         self.t += 1
         rate = self.lr * np.sqrt(1.0 - BETA2**self.t) / (1.0 - BETA1**self.t)
-        for p, g in zip(self.leaves, self._grads):
-            g[...] = p.grad
         g, m, v = self.grad, self.m, self.v
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        self.params -= rate * m / (np.sqrt(v) + EPS)
+        self.vector -= rate * m / (np.sqrt(v) + EPS)
 
 
 # -- graph assembly -----------------------------------------------------------
@@ -303,7 +289,7 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
 
     def check_finite(loss_value, iteration):
         if not np.isfinite(loss_value):
-            norm = float(np.sqrt(sum(np.sum(p.data**2) for p in params.leaves())))
+            norm = float(np.linalg.norm(params.vector))
             raise TrainingDivergedError(
                 f"step {step_index} (t={state.t_n:.6g}) aborted: "
                 f"non-finite loss at iteration {iteration}",
@@ -314,13 +300,14 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     graph, (total, l_pde, l_bc), stages = build_loss_graph(
         params, state, tableau, pde, disc, config.loss_reduction
     )
-    adam = Adam(params.leaves(), config.learning_rate)
+    adam = Adam(params.vector, params.grad, config.learning_rate)
     initial_loss = float(total.data)
     check_finite(initial_loss, 0)
     loss = initial_loss
     iterations = 0
     while loss >= config.loss_tolerance and iterations < config.max_iterations:
         graph.backward()
+        params.gather_grad()
         adam.step()
         iterations += 1
         graph.refresh()

@@ -2,8 +2,9 @@
 values of one implicit Runge-Kutta time step.
 
 Hidden activations are tanh, the output layer is linear, and parameters are
-Glorot-uniform weight matrices with zero biases, stored as autodiff leaves so
-that loss gradients reach every entry.  A whole batch of collocation points is
+Glorot-uniform weight matrices with zero biases, autodiff leaves whose data
+are views of one flat vector, so loss gradients reach every entry and an
+optimizer moves them all at once.  A whole batch of collocation points is
 evaluated by a single forward pass: each layer is one graph node that maps
 the stacked (u, u_x, u_xx) jet.  The training loss reads the last layer's node
 (``stacked_stages``) directly; ``forward_stages`` splits it into (q+1, N) slot
@@ -52,12 +53,23 @@ class NetworkConfig:
 
 
 class NetworkParameters:
-    """Per-layer weight matrices (fan_out x fan_in) and bias columns."""
+    """Per-layer weight matrices (fan_out x fan_in) and bias columns, each a
+    view of its slice of one flat ``vector`` (w0, b0, w1, b1, ...) that moves
+    them when updated in place; ``grad`` has the same layout."""
 
     def __init__(self, config: NetworkConfig, weights, biases):
         self.config = config
         self.weights = weights
         self.biases = biases
+        self.vector = np.concatenate([p.data.ravel() for p in self.leaves()])
+        self.grad = np.empty_like(self.vector)
+        self._grads = []  # (leaf, its slice of grad)
+        start = 0
+        for p in self.leaves():
+            stop = start + p.data.size
+            p.data = self.vector[start:stop].reshape(p.data.shape)
+            self._grads.append((p, self.grad[start:stop].reshape(p.data.shape)))
+            start = stop
 
     def leaves(self):
         out = []
@@ -66,8 +78,10 @@ class NetworkParameters:
             out.append(b)
         return out
 
-    def count(self) -> int:
-        return sum(leaf.data.size for leaf in self.leaves())
+    def gather_grad(self):
+        """Copy the leaves' gradients into ``grad``; an unreached leaf's 0.0 zeroes its slice."""
+        for p, g in self._grads:
+            g[...] = p.grad
 
 
 def init_xavier(config: NetworkConfig) -> NetworkParameters:
@@ -211,23 +225,21 @@ def _tanh_jet_vjp(g, out, z, s, ysdx):
 
 
 def save_parameters(params: NetworkParameters, path) -> None:
-    """Checkpoint to .npz; float64 arrays round-trip bitwise."""
+    """Checkpoint the config and the flat vector to .npz; float64 round-trips bitwise."""
     cfg = params.config
-    arrays = {
-        "meta": np.array([cfg.hidden_layers, cfg.width, cfg.outputs, cfg.seed], dtype=np.int64)
-    }
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{k}"] = w.data
-        arrays[f"b{k}"] = b.data
-    np.savez(path, **arrays)
+    meta = np.array([cfg.hidden_layers, cfg.width, cfg.outputs, cfg.seed], dtype=np.int64)
+    np.savez(path, meta=meta, vector=params.vector)
 
 
 def load_parameters(path) -> NetworkParameters:
+    """The meta's network holding the stored vector; ValueError if their lengths differ."""
     with np.load(path) as blob:
         hidden, width, outputs, seed = (int(v) for v in blob["meta"])
-        config = NetworkConfig(hidden_layers=hidden, width=width, outputs=outputs, seed=seed)
-        weights, biases = [], []
-        for k in range(hidden + 1):
-            weights.append(Value(blob[f"w{k}"], label=f"w{k}"))
-            biases.append(Value(blob[f"b{k}"], label=f"b{k}"))
-    return NetworkParameters(config, weights, biases)
+        vector = blob["vector"]
+    params = init_xavier(NetworkConfig(hidden_layers=hidden, width=width, outputs=outputs,
+                                       seed=seed))
+    if vector.shape != params.vector.shape:
+        raise ValueError(f"checkpoint {path} holds {vector.size} parameters, but its layer "
+                         f"sizes {params.config.layer_sizes} need {params.vector.size}")
+    params.vector[...] = vector
+    return params

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 
@@ -17,3 +19,10 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_workers():
+    """No test may leave a worker process behind, pools included."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hpinn.autodiff as ad
 import hpinn.model
-from hpinn.autodiff import Graph, Jet, Value
+from hpinn.autodiff import Jet, Value
 from hpinn.irk import gauss_legendre_tableau
 from hpinn.model import (
     Adam,
@@ -28,7 +27,14 @@ from hpinn.model import (
     step_state,
     train_step,
 )
-from hpinn.network import NetworkConfig, forward_stages, init_xavier
+from hpinn.network import (
+    NetworkConfig,
+    NetworkParameters,
+    forward_stages,
+    init_xavier,
+    load_parameters,
+    save_parameters,
+)
 from hpinn.pde import PdeSpec, burgers
 from hpinn.refsolver import relative_error
 from hpinn.weno import DiscontinuityMask, GridField
@@ -777,36 +783,35 @@ class TestMarch:
 
 class TestAdam:
     def test_quadratic_descent(self):
-        w = Value(np.array([3.0, -2.0]))
-        loss = ad.summation(w * w)
-        graph = Graph(loss)
-        adam = Adam([w], lr=0.05)
+        w = np.array([3.0, -2.0])
+        grad = np.empty_like(w)
+        adam = Adam(w, grad, lr=0.05)
         for _ in range(2000):
-            graph.backward()
+            np.multiply(2.0, w, out=grad)
             adam.step()
-            graph.refresh()
-        assert float(loss.data) < 1e-8
+        assert float(np.sum(w * w)) < 1e-8
 
     def test_deterministic(self):
         def descend():
-            w = Value(np.array([1.0, 2.0, 3.0]))
-            loss = ad.summation((w - 0.5) ** 2)
-            graph = Graph(loss)
-            adam = Adam([w], lr=1e-2)
+            w = np.array([1.0, 2.0, 3.0])
+            grad = np.empty_like(w)
+            adam = Adam(w, grad, lr=1e-2)
             for _ in range(100):
-                graph.backward()
+                np.multiply(2.0, w - 0.5, out=grad)
                 adam.step()
-                graph.refresh()
-            return w.data
+            return w
 
         assert np.array_equal(descend(), descend())
 
     def test_flat_update_matches_per_leaf_adam_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        shapes = [(4, 1), (4, 1), (3, 4), (3, 1), ()]
+        shapes = [(4, 1), (4, 1), (3, 4), (3, 1), (1, 3), ()]
         leaves = [Value(rng.standard_normal(s)) for s in shapes]
         ref = [leaf.data.copy() for leaf in leaves]
-        adam = Adam(leaves, lr=1e-3)
+        # the constructor lays out whatever leaves it is given; the config is only carried
+        params = NetworkParameters(NetworkConfig(), leaves[0::2], leaves[1::2])
+        assert params.leaves() == leaves
+        adam = Adam(params.vector, params.grad, lr=1e-3)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         for t in range(1, 30):
@@ -814,6 +819,7 @@ class TestAdam:
             grads[1] = 0.0  # a leaf the loss does not reach keeps the scalar 0.0
             for leaf, g in zip(leaves, grads):
                 leaf.grad = g
+            params.gather_grad()
             adam.step()
             rate = 1e-3 * np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
             for i, g in enumerate(grads):
@@ -826,4 +832,46 @@ class TestAdam:
         for leaf, want in zip(leaves, ref):
             assert leaf.data.shape == want.shape
             assert leaf.data.tobytes() == want.tobytes()
-            assert np.shares_memory(leaf.data, adam.params)
+            assert np.shares_memory(leaf.data, params.vector)
+
+
+class TestParameterViews:
+    """Every leaf's data stays a view of its slice of the parameters' vector."""
+
+    @staticmethod
+    def assert_views(params):
+        for leaf in params.leaves():
+            assert np.shares_memory(leaf.data, params.vector)
+        assert np.array_equal(np.concatenate([leaf.data.ravel() for leaf in params.leaves()]),
+                              params.vector)
+
+    def test_across_a_march(self, monkeypatch):
+        made = []
+
+        def capture(config):
+            params = init_xavier(config)
+            made.append((params, params.vector.copy()))
+            return params
+
+        monkeypatch.setattr(hpinn.model, "init_xavier", capture)
+        march(burgers(0.0), Discretization(n_points=48, dt=0.25, q_stages=1),
+              NetworkConfig(outputs=2), TrainingConfig(max_iterations=5), t_final=0.5)
+        (params, initial), = made
+        self.assert_views(params)
+        assert not np.array_equal(params.vector, initial)
+
+    def test_train_step_moves_a_loaded_checkpoint(self, tmp_path):
+        save_parameters(init_xavier(NetworkConfig(hidden_layers=2, width=7, outputs=2, seed=9)),
+                        tmp_path / "params.npz")
+        params = load_parameters(tmp_path / "params.npz")
+        self.assert_views(params)
+        before = [w.data.copy() for w in params.weights]
+        n = 48
+        x = np.linspace(-1, 1, n)
+        pde, disc = burgers(0.0), Discretization(n_points=n, dt=0.2, q_stages=1)
+        state = step_state(GridField(-np.sin(np.pi * x), -1.0, x[1] - x[0]), 0.0, pde, disc)
+        train_step(state, params, gauss_legendre_tableau(1), pde, disc,
+                   TrainingConfig(max_iterations=5))
+        self.assert_views(params)
+        assert all(not np.array_equal(leaf.data, was)
+                   for leaf, was in zip(params.weights, before))

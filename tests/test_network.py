@@ -51,7 +51,7 @@ class TestInit:
 
     def test_parameter_count_q10(self):
         params = init_xavier(NetworkConfig(hidden_layers=5, width=20, outputs=11))
-        assert params.count() == 1951
+        assert params.vector.size == 1951
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +181,19 @@ class TestCheckpoint:
         save_parameters(params, path)
         again = load_parameters(path)
         assert again.config == params.config
+        assert again.vector.dtype == params.vector.dtype
+        assert again.vector.tobytes() == params.vector.tobytes()
         for a, b in zip(params.leaves(), again.leaves()):
             assert np.array_equal(a.data, b.data)
             assert a.data.dtype == b.data.dtype
+
+    def test_vector_that_does_not_fit_the_meta_is_rejected(self, tmp_path):
+        # width 7 needs 14 + 56 + 56 + 32 = 158 parameters, width 8 needs 196
+        path = tmp_path / "params.npz"
+        save_parameters(init_xavier(NetworkConfig(hidden_layers=3, width=7, outputs=4)), path)
+        with np.load(path) as blob:
+            meta, vector = blob["meta"].copy(), blob["vector"]
+        meta[1] = 8
+        np.savez(path, meta=meta, vector=vector)
+        with pytest.raises(ValueError, match=r"holds 158 parameters.*need 196"):
+            load_parameters(path)
