@@ -9,9 +9,10 @@ differentiated by a single reverse sweep (``Graph.backward``).
 Every op node holds two functions of its parents' data: its ``forward`` and
 its vector-Jacobian product (``vjp``); ``fused`` is the one constructor that
 builds such a node.  ``Graph.refresh`` and ``Graph.backward`` are the only
-code that calls them.  A step's training loss has hidden_layers + 2 op
-nodes: one per network layer, mapping the stacked (u, u_x, u_xx) jet (see
-``Jet``), and one for everything after the last layer (``model.loss_node``).
+code that calls them.  A step's training loss has one leaf, the network's
+input, and hidden_layers + 2 op nodes: one per network layer, mapping the
+stacked (u, u_x, u_xx) jet (see ``Jet``), and one for everything after the
+last layer (``model.loss_node``).
 The operator overloads, ``slot`` and ``summation`` serve expressions built on
 those nodes; the generic ops the loss was once composed of (tanh, slicing,
 matmul, mean) live in the tests' oracle, ``tests/loss_oracle.py``.
@@ -132,7 +133,10 @@ def fused(parents, forward, vjp, label: str) -> Value:
 
     ``forward(*parent data)`` gives the node's data, at build and on every
     refresh.  ``vjp(grad, data, *parent data)`` returns one gradient per
-    parent, in order, for the node's own ``data`` from the last ``forward``.
+    parent that takes one, in order, for the node's own ``data`` from the
+    last ``forward``; a constant input takes none.  A network layer writes
+    its parameters' gradients, which are no parents, into storage its
+    builder owns.
     """
     return Value(forward(*(p.data for p in parents)), tuple(parents), label, forward, vjp)
 

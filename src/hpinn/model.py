@@ -306,8 +306,7 @@ def train_step(state: TimeStepState, params: NetworkParameters, tableau: Butcher
     loss = initial_loss
     iterations = 0
     while loss >= config.loss_tolerance and iterations < config.max_iterations:
-        graph.backward()
-        params.gather_grad()
+        graph.backward()  # writes params.grad, Adam's gradient
         adam.step()
         iterations += 1
         graph.refresh()
@@ -377,9 +376,9 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     build fails before the first step, so it costs no training; a solve that
     fails later stops the march at the next step boundary with the solver's
     own exception.  Training never waits for the solve; the march waits for
-    it after the last step, and no worker outlives the call.  At each eval
-    time the reference is put once onto the prediction's grid, and both the
-    error and `MarchResult.profiles` come from that one array.
+    it after the last step, and a march that fails stops it at once.  At each
+    eval time the reference is put once onto the prediction's grid, and both
+    the error and `MarchResult.profiles` come from that one array.
     """
     n_steps, steps = step_count(t_final, disc.dt, eval_times)
 
@@ -392,17 +391,18 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             times = tuple(steps.values())
             reference = SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times)
             pde.initial_field(n_cells)  # the solver's start: a grid it cannot build fails here
-            # imported here, ~20 ms: only a march with eval times pays it
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            # imported here, ~15 ms: only a march with eval times pays it
+            import multiprocessing
+            # exit terminates the worker; a killed run's worker exits once idle
+            pool = stack.enter_context(multiprocessing.Pool(1))
             # a module-level function pickles by name, whatever wraps `solve`
-            solving = pool.submit(_reference_snapshots, reference)
+            solving = pool.apply_async(_reference_snapshots, (reference,))
         fields = [pde.initial_field(disc.n_points)]
         params = init_xavier(net_config)
         diagnostics = []
         for n in range(n_steps):
-            if solving is not None and solving.done():
-                solving.result()  # re-raises a failed solve's exception
+            if solving is not None and solving.ready():
+                solving.get()  # re-raises a failed solve's exception
             state = step_state(fields[-1], n * disc.dt, pde, disc)
             params, u_next, diag = train_step(
                 state, params, tableau, pde, disc, training, step_index=n
@@ -411,7 +411,7 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             diagnostics.append(diag)
             if on_step is not None:
                 on_step(diag)
-        snapshots = solving.result() if solving is not None else []
+        snapshots = solving.get() if solving is not None else []
 
     errors, profiles = {}, {}
     for (k, t), snapshot in zip(steps.items(), snapshots):

@@ -2,13 +2,13 @@
 values of one implicit Runge-Kutta time step.
 
 Hidden activations are tanh, the output layer is linear, and parameters are
-Glorot-uniform weight matrices with zero biases, autodiff leaves whose data
-are views of one flat vector, so loss gradients reach every entry and an
-optimizer moves them all at once.  A whole batch of collocation points is
+Glorot-uniform weight matrices with zero biases, views of one flat vector
+that an optimizer moves all at once.  A whole batch of collocation points is
 evaluated by a single forward pass: each layer is one graph node that maps
-the stacked (u, u_x, u_xx) jet.  The training loss reads the last layer's node
-(``stacked_stages``) directly; ``forward_stages`` splits it into (q+1, N) slot
-reads.
+the stacked (u, u_x, u_xx) jet.  The parameters are no nodes: each layer's
+VJP writes their gradients into its slices of one flat gradient.  The
+training loss reads the last layer's node (``stacked_stages``) directly;
+``forward_stages`` splits it into (q+1, N) slot reads.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class NetworkConfig:
 class NetworkParameters:
     """Per-layer weight matrices (fan_out x fan_in) and bias columns, each a
     view of its slice of one flat ``vector`` (w0, b0, w1, b1, ...) that moves
-    them when updated in place; ``grad`` has the same layout."""
+    them when updated in place.  No graph node: the layer VJPs write their
+    gradients into ``grad``, of the same layout, through ``layer_grads``."""
 
     def __init__(self, config: NetworkConfig, weights, biases):
         self.config = config
@@ -63,25 +64,16 @@ class NetworkParameters:
         self.biases = biases
         self.vector = np.concatenate([p.data.ravel() for p in self.leaves()])
         self.grad = np.empty_like(self.vector)
-        self._grads = []  # (leaf, its slice of grad)
-        start = 0
+        views, start = [], 0
         for p in self.leaves():
             stop = start + p.data.size
             p.data = self.vector[start:stop].reshape(p.data.shape)
-            self._grads.append((p, self.grad[start:stop].reshape(p.data.shape)))
+            views.append(self.grad[start:stop].reshape(p.data.shape))
             start = stop
+        self.layer_grads = list(zip(views[0::2], views[1::2]))
 
     def leaves(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def gather_grad(self):
-        """Copy the leaves' gradients into ``grad``; an unreached leaf's 0.0 zeroes its slice."""
-        for p, g in self._grads:
-            g[...] = p.grad
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
 
 def init_xavier(config: NetworkConfig) -> NetworkParameters:
@@ -103,13 +95,17 @@ def stacked_stages(params: NetworkParameters, x, order: int) -> Value:
     Row 0 holds the q+1 stage values at the points of x (a scalar or 1-D
     batch) and row 1 their derivatives u_x; at order 2 row 2 holds u_xx.  All
     are differentiable with respect to the parameters.  Order is 1 or 2.
+
+    A backward overwrites ``params.grad`` with the gradient, so a graph may
+    evaluate the network once only: the layer VJPs do not accumulate.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
     # the input jet (x, dx/dx = 1) is a constant; x has no curvature
-    h = np.stack([xv, np.ones_like(xv)])
+    h = Value(np.stack([xv, np.ones_like(xv)]), label="x")
     last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _dense_layer(w, b, h, order, activate=k < last)
+    layers = zip(params.weights, params.biases, params.layer_grads)
+    for k, (w, b, (gw, gb)) in enumerate(layers):
+        h = _dense_layer(w, b, gw, gb, h, order, activate=k < last)
     return h
 
 
@@ -119,31 +115,33 @@ def forward_stages(params: NetworkParameters, x, order: int) -> Jet:
     return Jet(*(slot(h, i) for i in range(order + 1)))
 
 
-def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
+def _dense_layer(w: Value, b: Value, gw, gb, h: Value, order: int, activate: bool) -> Value:
     """One dense layer, with tanh unless it is the output layer, as one node.
 
     It maps the stacked input jet h (rows u, u_x, u_xx) to the stacked output
-    jet (order+1, fan_out, N).  h is the previous layer's node, or for the
-    first layer the constant (x, 1) array, which takes no gradient.  The VJP
-    repeats the node-by-node chain rule's products and its order of summing
-    three or more terms, so gradients are bit-identical to the unfused graph.
+    jet (order+1, fan_out, N).  h, its one parent, is the previous layer's
+    node, or for the first layer the constant (x, 1) leaf, which takes no
+    gradient.  Each forward reads ``w.data`` and ``b.data``; the VJP writes
+    their gradients into ``gw`` and ``gb``.  It repeats the node-by-node chain
+    rule's products and order of summing three or more terms, so gradients
+    are bit-identical to the unfused graph.
 
     Row z[0] of the pre-activation jet is dead once the bias is added, so it
     holds s = sech^2 z, which the VJP reads with rows z' and z''.
     W's gradient takes the products of all jet rows in one batched matmul and
     sums them in the unfused graph's order, (z' term + z'' term) + z term.
     """
-    seed = None if isinstance(h, Value) else h
+    first = not h.parents
     tape = []  # z, s = sech^2 z and y s z' from the last forward
 
-    def forward(wd, bd, hd=seed):
-        # rows z, z', z''; at the seed's fan-in of 1 the matmul is one product
-        z = np.matmul(wd, hd) if seed is None else wd * hd
+    def forward(hd):
+        # rows z, z', z''; at the input's fan-in of 1 the matmul is one product
+        z = w.data * hd if first else np.matmul(w.data, hd)
         if not activate:
-            np.add(z[0], bd, out=z[0])
+            np.add(z[0], b.data, out=z[0])
             return z
         out = np.empty((order + 1,) + z.shape[1:])
-        y = np.tanh(np.add(z[0], bd, out=out[0]), out=out[0])
+        y = np.tanh(np.add(z[0], b.data, out=out[0]), out=out[0])
         s = np.multiply(y, y, out=z[0])  # z[0] is dead: it holds s
         np.subtract(1.0, s, out=s)
         ysdx = None
@@ -158,21 +156,17 @@ def _dense_layer(w: Value, b: Value, h, order: int, activate: bool) -> Value:
         tape[:] = z, s, ysdx
         return out
 
-    def vjp(g, out, wd, bd, hd=seed):
+    def vjp(g, out, hd):
         gz = _tanh_jet_vjp(g, out, *tape) if activate else g
-        gb = gz[0].sum(axis=1, keepdims=True)
+        np.sum(gz[0], axis=1, keepdims=True, out=gb)
         terms = np.matmul(gz, hd.transpose(0, 2, 1))
         # W's terms in the unfused graph's order: (z' term + z'' term) + z term
-        rows = [*range(1, len(gz)), 0]
-        gw = terms[rows[0]]
-        for i in rows[1:]:
-            gw += terms[i]
-        if seed is not None:
-            return gw, gb
-        return gw, gb, np.matmul(wd.T, gz)
+        np.add(terms[1], terms[2] if len(gz) > 2 else terms[0], out=gw)
+        if len(gz) > 2:  # the first layer's input has no z'' row
+            np.add(gw, terms[0], out=gw)
+        return () if first else (np.matmul(w.data.T, gz),)
 
-    parents = (w, b) if seed is not None else (w, b, h)
-    return fused(parents, forward, vjp, "dense_tanh" if activate else "dense")
+    return fused((h,), forward, vjp, "dense_tanh" if activate else "dense")
 
 
 def _tanh_jet_vjp(g, out, z, s, ysdx):

@@ -49,6 +49,17 @@ from network_oracle import unfused_forward_stages
 from weno_oracle import dense_convection, masks
 
 
+def layer_gradients(params):
+    """The fused network's gradients, as its layer VJPs wrote them into
+    ``params.grad``, in ``params.leaves()`` order."""
+    return [g.copy() for pair in params.layer_grads for g in pair]
+
+
+def leaf_gradients(params):
+    """An unfused oracle's gradients, held by the parameter leaves of its graph."""
+    return [leaf.grad.copy() for leaf in params.leaves()]
+
+
 def make_grid(n=64, lo=-1.0, hi=1.0):
     x = np.linspace(lo, hi, n)
     return GridField(np.zeros(n), lo, x[1] - x[0]), x
@@ -168,7 +179,7 @@ class TestFusedWenoBranch:
         def loss_and_gradients(build):
             graph, (total, _, _), _ = build(params, state, tab, pde, disc)
             graph.backward()
-            return float(total.data), [leaf.grad.copy() for leaf in params.leaves()]
+            return float(total.data), layer_gradients(params)  # both run the fused network
 
         loss, grads = loss_and_gradients(build_loss_graph)
         want_loss, want = loss_and_gradients(partial(loss_graph, convection=dense_convection))
@@ -221,14 +232,14 @@ class TestFusedNetwork:
         for b in params.biases:
             b.data = rng.uniform(-0.5, 0.5, size=b.data.shape)
 
-        def losses_and_gradients(build):
+        def losses_and_gradients(build, gradients):
             graph, losses, _ = build(params, state, tab, pde, disc, reduction)
             graph.backward()
-            return [float(v.data) for v in losses], [leaf.grad.copy() for leaf in params.leaves()]
+            return [float(v.data) for v in losses], gradients(params)
 
-        losses, grads = losses_and_gradients(build_loss_graph)
-        want_losses, want = losses_and_gradients(partial(loss_graph,
-                                                         forward=unfused_forward_stages))
+        losses, grads = losses_and_gradients(build_loss_graph, layer_gradients)
+        want_losses, want = losses_and_gradients(
+            partial(loss_graph, forward=unfused_forward_stages), leaf_gradients)
         assert [v.hex() for v in losses] == [v.hex() for v in want_losses]
         for g, w in zip(grads, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -285,8 +296,9 @@ class TestLossNode:
 
     @staticmethod
     def losses_and_gradients(graph, losses, params):
+        # the oracle's tail too runs on the fused network, whose VJPs write params.grad
         graph.backward()
-        return [float(v.data) for v in losses], [leaf.grad.copy() for leaf in params.leaves()]
+        return [float(v.data) for v in losses], layer_gradients(params)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0.0, 1e-4 / np.pi]),
@@ -383,6 +395,43 @@ class TestLossNode:
         params, u_next, _ = train_step(state, params, tab, pde, disc, config)
         jet = forward_stages(params, state.data.x, order=1)
         assert np.array_equal(u_next.values, jet.u.data[2])
+
+
+class TestWholeGradient:
+    """Nothing zeroes or gathers ``params.grad``: one backward writes all of it."""
+
+    N = 40
+    X = np.linspace(-1.0, 1.0, N)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-4 / np.pi])
+    @pytest.mark.parametrize("shape", ["smooth", "shock"])
+    def test_one_backward_writes_every_entry(self, nu, shape):
+        if shape == "smooth":
+            values = -np.sin(np.pi * self.X)
+        else:
+            values = np.where(self.X < 0.0, 1.0, -1.0) * (1.0 - np.abs(self.X))
+        q = 4
+        pde, tab = burgers(nu), gauss_legendre_tableau(q)
+        disc = Discretization(n_points=self.N, dt=0.1, q_stages=q)
+        state = step_state(GridField(values, -1.0, self.X[1] - self.X[0]), 0.0, pde, disc)
+        assert (state.mask.count() > 0) == (shape == "shock")
+        config = NetworkConfig(outputs=q + 1, seed=7)  # the paper's 5 x 20 net
+
+        def gradient(fill):
+            params = init_xavier(config)
+            if fill is not None:
+                params.grad[:] = fill
+            graph = build_loss_graph(params, state, tab, pde, disc)[0]
+            graph.backward()
+            return graph, params.grad
+
+        graph, got = gradient(np.nan)
+        _, want = gradient(None)  # a fresh network's gradient
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == want.tobytes()
+        leaves = [node for node in graph.nodes if not node.parents]
+        assert len(leaves) == 1 and leaves[0].label == "x"  # the input jet, no parameter
+        assert len(graph.nodes) - 1 == config.hidden_layers + 2
 
 
 class TestResidualOperator:
@@ -533,9 +582,9 @@ class TestGradientFlow:
         graph, (total, _, _), _ = build_loss_graph(params, state, tab, pde, disc)
         graph.backward()
         checks = 0
-        for leaf in params.leaves()[::3]:
+        for leaf, grad in list(zip(params.leaves(), layer_gradients(params)))[::3]:
             idx = tuple(rng.integers(s) for s in leaf.data.shape)
-            g_ad = leaf.grad[idx]
+            g_ad = grad[idx]
             h = 1e-6
             keep = leaf.data[idx]
             leaf.data[idx] = keep + h
@@ -655,6 +704,13 @@ class OverflowingFlux(PdeSpec):
     @staticmethod
     def flux(u):
         return 1.0e200 * PdeSpec.flux(u)
+
+
+def solve_for_a_minute(config):
+    """A reference solve that outlasts any test: a march must not wait for it.
+    At module level, so the march's worker process can unpickle it."""
+    time.sleep(60.0)
+    return []
 
 
 class TestMarch:
@@ -780,6 +836,19 @@ class TestMarch:
         assert len(steps) == 1
         assert multiprocessing.active_children() == []
 
+    def test_failed_march_stops_its_worker_mid_solve(self, monkeypatch):
+        def diverge(state, *args, step_index=0):
+            raise TrainingDivergedError(f"step {step_index} (t=0) aborted: non-finite loss")
+
+        monkeypatch.setattr(hpinn.model, "_reference_snapshots", solve_for_a_minute)
+        monkeypatch.setattr(hpinn.model, "train_step", diverge)
+        pde, disc, net, training = self.tiny_setup(dt=0.25)
+        started = time.perf_counter()
+        with pytest.raises(TrainingDivergedError, match="step 0"):
+            march(pde, disc, net, training, t_final=1.0, eval_times=(1.0,), n_cells=64)
+        assert time.perf_counter() - started < 5.0  # not the minute the solve takes
+        assert multiprocessing.active_children() == []
+
 
 class TestAdam:
     def test_quadratic_descent(self):
@@ -812,14 +881,14 @@ class TestAdam:
         params = NetworkParameters(NetworkConfig(), leaves[0::2], leaves[1::2])
         assert params.leaves() == leaves
         adam = Adam(params.vector, params.grad, lr=1e-3)
+        views = [g for pair in params.layer_grads for g in pair]  # in leaf order, as the VJPs write
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         for t in range(1, 30):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-9, 2) for s in shapes]
-            grads[1] = 0.0  # a leaf the loss does not reach keeps the scalar 0.0
-            for leaf, g in zip(leaves, grads):
-                leaf.grad = g
-            params.gather_grad()
+            grads[1] = 0.0  # a scalar fills its leaf's whole view
+            for view, g in zip(views, grads):
+                view[...] = g
             adam.step()
             rate = 1e-3 * np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
             for i, g in enumerate(grads):

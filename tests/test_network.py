@@ -106,9 +106,10 @@ class TestForward:
 
     def test_gradients_reach_every_layer(self):
         params = init_xavier(NetworkConfig(outputs=3, seed=8))
+        params.grad[:] = 0.0  # so a slice no VJP writes stays zero
         jet = forward_stages(params, np.linspace(-1, 1, 12), order=1)
         Graph(mean(jet.u * jet.u)).backward()
-        assert all(np.any(np.asarray(leaf.grad) != 0.0) for leaf in params.leaves())
+        assert all(np.any(g != 0.0) for pair in params.layer_grads for g in pair)
 
 
 class TestFusedLayers:
@@ -138,7 +139,7 @@ class TestFusedLayers:
         labels = [n.label for n in nodes]
         assert labels.count("dense_tanh") == 5 and labels.count("dense") == 1
         assert labels.count("slot") == 3
-        assert len(nodes) == 12 + 6 + 3 + 5  # leaves, layers, slots, reduction
+        assert len(nodes) == 1 + 6 + 3 + 5  # the input jet, layers, slots, reduction
 
 
 class TestNoArgumentIsWritten:
@@ -160,16 +161,20 @@ class TestNoArgumentIsWritten:
         top = stacked_stages(params, rng.uniform(-1.0, 1.0, size=n), order)
         layers = [node for node in Graph(top).nodes if node.parents]
         node = layers[{"first": 0, "hidden": 1, "output": -1}[layer]]
-        args = [p.data for p in node.parents]  # W, b and, past the first layer, h
-        kept = [a.copy() for a in args]
+        args = [p.data for p in node.parents]  # h, the (x, 1) jet at the first layer
+        read = args + [leaf.data for leaf in params.leaves()]  # and W and b, which it reads
+        kept = [a.copy() for a in read]
         out = node.forward(*args)
-        assert all(np.array_equal(a, k) for a, k in zip(args, kept))
+        assert all(np.array_equal(a, k) for a, k in zip(read, kept))
         assert np.array_equal(node.forward(*args), out)  # the first layer's (x, 1) too
         g = rng.normal(size=out.shape)
         given_g, given_out = g.copy(), out.copy()
-        grads = [node.vjp(g, out, *args) for _ in range(2)]
+        # each call returns h's gradient (none at the first layer) and
+        # writes W's and b's into params.grad; the other layers' slices stay 0
+        params.grad[:] = 0.0
+        grads = [(*node.vjp(g, out, *args), params.grad.copy()) for _ in range(2)]
         assert np.array_equal(g, given_g) and np.array_equal(out, given_out)
-        assert all(np.array_equal(a, k) for a, k in zip(args, kept))
+        assert all(np.array_equal(a, k) for a, k in zip(read, kept))
         for first, again in zip(*grads):
             assert np.array_equal(first, again)
 
