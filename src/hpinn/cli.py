@@ -19,7 +19,8 @@ import numpy as np
 import yaml
 
 from .irk import MAX_STAGES, check_stage_count
-from .model import Discretization, TrainingConfig, TrainingDivergedError, march, step_count
+from .model import (Discretization, TrainingConfig, TrainingDivergedError, _end_with_parent,
+                    march, step_count)
 from .network import NetworkConfig
 from .pde import PdeSpec, burgers
 from .refsolver import SolverConfig, solve
@@ -160,8 +161,8 @@ def load_config(path, out_override=None, seed_override=None) -> Experiment:
     cfg = _merge(_DEFAULTS, {} if raw is None else raw, overrides)  # None: an empty document
 
     pde = _checked("pde", dataclasses.replace, _PDE, **cfg["pde"])
+    _checked("discretization.q_stages", check_stage_count, cfg["discretization"]["q_stages"])
     disc = _checked("discretization", Discretization, **cfg["discretization"])
-    _checked("discretization.q_stages", check_stage_count, disc.q_stages)
     net, train = dict(cfg["network"]), dict(cfg["training"])
     network = _checked("network", NetworkConfig, hidden_layers=net.pop("layers"),
                        outputs=disc.q_stages + 1, **net)
@@ -294,8 +295,7 @@ def _sweep_cell(args):
             dataclasses.replace(exp.pde, viscosity=nu),
             dataclasses.replace(exp.disc, dt=dt, q_stages=q),
             dataclasses.replace(exp.network, seed=_cell_seed(exp.network.seed, q, dt, nu)),
-            exp.training, t_final=exp.t_final, eval_times=(exp.t_final,),
-            n_cells=exp.n_cells,
+            exp.training, t_final=exp.t_final, n_cells=exp.n_cells,
         )
         iterations = sum(d.iterations for d in result.diagnostics)
         converged = all(d.converged for d in result.diagnostics)
@@ -337,7 +337,8 @@ def cmd_sweep(exp: Experiment, qs, dts, nus, jobs: int) -> int:
     workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # as `march` does: no import-time cost
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -21,8 +21,9 @@ fixed and differentiable during the step; the mask is dilated
 
 from __future__ import annotations
 
-import contextlib
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Graph, Value, fused
-from .irk import ButcherTableau, gauss_legendre_tableau
+from .irk import ButcherTableau, check_stage_count, gauss_legendre_tableau
 from .network import NetworkConfig, NetworkParameters, init_xavier, stacked_stages
 from .pde import PdeSpec
 from .refsolver import TIME_TOL, SolverConfig, reference_on_grid, relative_error, solve
@@ -86,6 +87,7 @@ class Discretization:
             raise ValueError(f"n_points must be at least {MIN_POINTS}, got {self.n_points}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        check_stage_count(self.q_stages)
 
 
 @dataclass(frozen=True)
@@ -360,6 +362,23 @@ def _reference_snapshots(config: SolverConfig) -> list:
     return solve(config)[1]
 
 
+def _end_with_parent(pid: int):
+    """A worker's initializer: on Linux the worker gets SIGTERM when the thread
+    that made it exits, so a parent killed by SIGTERM alone takes its workers
+    with it.  `pid` is the parent's; a worker the fork server made is the
+    server's child, so the parent is checked by pid, and one already gone
+    ends the worker here.  Elsewhere it does nothing."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    import signal
+    ctypes.CDLL(None).prctl(1, signal.SIGTERM)  # 1: PR_SET_PDEATHSIG, <linux/prctl.h>
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        os._exit(0)
+
+
 def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
           training: TrainingConfig, t_final: float, eval_times=(),
           n_cells: int = SolverConfig.n_cells,
@@ -370,9 +389,9 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     Every step re-freezes the mask and lam from the current data and
     warm-starts from the previous step's trained parameters.  The network
     gets q+1 outputs whatever `net_config.outputs` says.  `step_count`
-    checks `eval_times`, sorts them and merges them by step boundary.  When
-    there are any, the reference is solved on `n_cells` cells in one worker
-    process while the steps train here.  A reference grid the solver cannot
+    checks `eval_times`, none meaning t_final, and sorts and merges them by
+    step boundary.  Every march solves the reference on `n_cells` cells in
+    one worker process while the steps train here.  A grid the solver cannot
     build fails before the first step, so it costs no training; a solve that
     fails later stops the march at the next step boundary with the solver's
     own exception.  Training never waits for the solve; the march waits for
@@ -380,28 +399,24 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
     eval time the reference is put once onto the prediction's grid, and both
     the error and `MarchResult.profiles` come from that one array.
     """
-    n_steps, steps = step_count(t_final, disc.dt, eval_times)
+    n_steps, steps = step_count(t_final, disc.dt, eval_times or (t_final,))
 
     net_config = replace(net_config, outputs=disc.q_stages + 1)
     tableau = gauss_legendre_tableau(disc.q_stages)
 
-    solving = None
-    with contextlib.ExitStack() as stack:
-        if steps:
-            times = tuple(steps.values())
-            reference = SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times)
-            pde.initial_field(n_cells)  # the solver's start: a grid it cannot build fails here
-            # imported here, ~15 ms: only a march with eval times pays it
-            import multiprocessing
-            # exit terminates the worker; a killed run's worker exits once idle
-            pool = stack.enter_context(multiprocessing.Pool(1))
-            # a module-level function pickles by name, whatever wraps `solve`
-            solving = pool.apply_async(_reference_snapshots, (reference,))
+    times = tuple(steps.values())
+    reference = SolverConfig(pde, n_cells, t_final=times[-1], snapshot_times=times)
+    pde.initial_field(n_cells)  # the solver's start: a grid it cannot build fails here
+    import multiprocessing  # ~15 ms, imported here so that `import hpinn` loads no pool
+    # exit terminates the worker; a killed run's worker ends with it (`_end_with_parent`)
+    with multiprocessing.Pool(1, _end_with_parent, (os.getpid(),)) as pool:
+        # a module-level function pickles by name, whatever wraps `solve`
+        solving = pool.apply_async(_reference_snapshots, (reference,))
         fields = [pde.initial_field(disc.n_points)]
         params = init_xavier(net_config)
         diagnostics = []
         for n in range(n_steps):
-            if solving is not None and solving.ready():
+            if solving.ready():
                 solving.get()  # re-raises a failed solve's exception
             state = step_state(fields[-1], n * disc.dt, pde, disc)
             params, u_next, diag = train_step(
@@ -411,7 +426,7 @@ def march(pde: PdeSpec, disc: Discretization, net_config: NetworkConfig,
             diagnostics.append(diag)
             if on_step is not None:
                 on_step(diag)
-        snapshots = solving.get() if solving is not None else []
+        snapshots = solving.get()
 
     errors, profiles = {}, {}
     for (k, t), snapshot in zip(steps.items(), snapshots):

@@ -629,7 +629,7 @@ class TestSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -707,8 +707,8 @@ def test_package_imports_no_scipy():
 
 
 def test_package_imports_no_process_pool():
-    # a march with eval times and a parallel sweep (--jobs N>1) import the
-    # pool when they start one; importing the package loads none
+    # every march and a parallel sweep (--jobs N>1) import the pool when
+    # they start one; importing the package loads none
     proc = run_fresh_interpreter(
         "-c", "import sys, hpinn, hpinn.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")

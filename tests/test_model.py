@@ -1,10 +1,15 @@
 import dataclasses
 import gc
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,6 +687,8 @@ class TestSettingTypes:
         # a mask of 9 points on a field of 8
         partial(TimeStepState, 0.0, GridField(np.zeros(8), -1.0, 0.25),
                 DiscontinuityMask(np.zeros(9)), 1.0),
+        # stage counts outside [1, 100]
+        *(partial(Discretization, q_stages=q) for q in (0, -3, 1.5, True, 101)),
     ])
     def test_out_of_range_value_is_a_value_error(self, build):
         with pytest.raises(ValueError):
@@ -711,6 +718,40 @@ def solve_for_a_minute(config):
     At module level, so the march's worker process can unpickle it."""
     time.sleep(60.0)
     return []
+
+
+# A run whose reference solve takes a minute: it prints its worker's pid after
+# the first step, then waits to be killed.
+KILLED_MARCH = """
+import multiprocessing, time
+import hpinn.model
+from hpinn.model import Discretization, TrainingConfig, march
+from hpinn.network import NetworkConfig
+from hpinn.pde import burgers
+
+def solve_for_a_minute(config):
+    time.sleep(60.0)
+    return []
+
+def on_step(diag):
+    print(multiprocessing.active_children()[0].pid, flush=True)
+    time.sleep(60.0)
+
+if __name__ == "__main__":
+    hpinn.model._reference_snapshots = solve_for_a_minute
+    march(burgers(0.0), Discretization(n_points=48, dt=0.5, q_stages=1), NetworkConfig(),
+          TrainingConfig(max_iterations=5), t_final=0.5, eval_times=(0.5,), n_cells=64,
+          on_step=on_step)
+"""
+
+
+def is_running(pid):
+    """Whether process `pid` exists and is not a zombie no parent has reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestMarch:
@@ -811,15 +852,16 @@ class TestMarch:
         assert len(steps) <= 1  # not only after the last step
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("eval_times,workers", [((0.5,), 1), ((), 0)])
+    @pytest.mark.parametrize("eval_times,workers", [((0.5,), 1), ((), 1)])
     def test_one_reference_worker_while_training_and_none_after(self, eval_times, workers):
-        # a march without eval times solves no reference and starts no process
+        # a march without eval times is scored at t_final
         pde, disc, net, training = self.tiny_setup(dt=0.25, max_iterations=5)
         seen = []
-        march(pde, disc, net, training, t_final=0.5, eval_times=eval_times, n_cells=64,
-              on_step=lambda diag: seen.append(len(multiprocessing.active_children())))
+        res = march(pde, disc, net, training, t_final=0.5, eval_times=eval_times, n_cells=64,
+                    on_step=lambda diag: seen.append(len(multiprocessing.active_children())))
         assert seen == [workers, workers]
         assert multiprocessing.active_children() == []
+        assert list(res.errors) == list(res.profiles) == [0.5]
 
     def test_diverged_march_leaves_no_worker(self, monkeypatch):
         def diverge_at_step_1(state, *args, step_index=0):
@@ -848,6 +890,26 @@ class TestMarch:
             march(pde, disc, net, training, t_final=1.0, eval_times=(1.0,), n_cells=64)
         assert time.perf_counter() - started < 5.0  # not the minute the solve takes
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a parent-death signal is Linux's")
+    def test_killed_run_leaves_no_worker(self, tmp_path):
+        # SIGTERM alone runs no cleanup in the run: its worker must end with it,
+        # not solve on as an orphan
+        (tmp_path / "killed_march.py").write_text(KILLED_MARCH)
+        src = str(Path(hpinn.model.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, str(tmp_path / "killed_march.py")],
+                              stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path}) as run:
+            worker = int(run.stdout.readline())
+            run.send_signal(signal.SIGTERM)
+            run.wait(10.0)
+        deadline = time.monotonic() + 5.0
+        while is_running(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        if is_running(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail(f"worker {worker} outlived its killed run by 5 s")
 
 
 class TestAdam:
