@@ -4,7 +4,10 @@ A ``Value`` wraps one float64 scalar -- or an ndarray holding the same scalar
 expression evaluated at a batch of points -- and records the operation that
 produced it.  Graphs are built eagerly through operator overloading, can be
 re-evaluated in place after leaf mutation (``Graph.refresh``), and are
-differentiated by a single reverse sweep (``Graph.backward``).
+differentiated by a single reverse sweep (``Graph.backward``).  The sweep
+leaves gradients on the leaves only: an op node's cotangent is dropped as
+soon as its VJP has handed it on, so between sweeps a graph holds its
+forward data and tapes and no second, stale copy of them.
 
 Every op node holds two functions of its parents' data: its ``forward`` and
 its vector-Jacobian product (``vjp``); ``fused`` is the one constructor that
@@ -61,7 +64,9 @@ class Value:
 
     ``data`` is a float64 scalar (0-d) or an ndarray of independent scalar
     evaluations.  Leaves have no parents, and no ``forward`` or ``vjp``;
-    their ``data`` may be mutated between ``Graph.refresh`` calls.
+    their ``data`` may be mutated between ``Graph.refresh`` calls.  ``grad``
+    is 0.0 or the gradient a leaf accumulated in the last ``Graph.backward``;
+    an op node's ``grad`` holds its cotangent only during that sweep.
     """
 
     __slots__ = ("data", "grad", "parents", "label", "forward", "vjp", "__weakref__")
@@ -187,7 +192,10 @@ class Graph:
 
     Single-writer: built and evaluated by one execution context at a time.
     Re-evaluation after leaf mutation is `refresh`; `backward` seeds the root
-    with 1 and accumulates gradients into every ancestor's ``.grad``.
+    with 1 and accumulates gradients into every leaf's ``.grad``.  Each op
+    node's cotangent is released (``grad`` back to 0.0) once its VJP has run,
+    so `backward` reads only ``data`` and the forward tapes and may be
+    repeated without a `refresh`.
     """
 
     def __init__(self, root: Value):
@@ -209,6 +217,7 @@ class Graph:
         for n in reversed(self.nodes):
             if n.parents:
                 grads = n.vjp(n.grad, n.data, *[p.data for p in n.parents])
+                n.grad = 0.0  # passed on: only the leaves keep a gradient
                 for p, gp in zip(n.parents, grads):
                     p._acc(gp)
 

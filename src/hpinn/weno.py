@@ -68,8 +68,10 @@ class GridField:
             raise ValueError("GridField values must be one-dimensional")
         if self.values.shape[0] < 2 * GHOST + 1:
             raise ValueError("GridField needs at least 7 points (one WENO stencil)")
-        if self.dx <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (np.isfinite(self.dx) and self.dx > 0):
+            raise ValueError("grid spacing must be positive and finite")
+        if not np.isfinite(self.x0):
+            raise ValueError("grid origin must be finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridField values must be finite")
 
@@ -96,10 +98,11 @@ class DiscontinuityMask:
     flags: np.ndarray
 
     def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=np.int64)
-        bad = (self.flags != 0) & (self.flags != 1)
-        if bad.any():
+        # check before the cast, which would truncate 0.5 to 0 and 1.9 to 1
+        raw = np.asarray(self.flags)
+        if not np.all((raw == 0) | (raw == 1)):
             raise ValueError("mask entries must be 0 or 1")
+        self.flags = np.asarray(raw, dtype=np.int64)
 
     def __len__(self):
         return self.flags.shape[0]

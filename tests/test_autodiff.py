@@ -174,10 +174,23 @@ class TestGradientOwnership:
     def test_later_gradients_reach_no_other_holder(self, build):
         a = Value(np.ones(3))
         node, other = build(a)
+        # backward drops an op node's cotangent once its VJP has run, so a
+        # spy keeps the one `node` received and the arrays it handed on
+        seen = []
+        inner = node.vjp
+
+        def spy(g, *data):
+            out = inner(g, *data)
+            seen.append((g, out, [np.array(o, copy=True) for o in out]))
+            return out
+
+        node.vjp = spy
         # a's second gradient (3) arrives after `node` has passed on its own
         Graph(ad.summation(node) + ad.summation(a * 3.0)).backward()
         assert np.array_equal(a.grad, np.full(3, 4.0))
-        assert np.all(node.grad == 1.0)
+        [(received, handed, at_handover)] = seen
+        assert np.all(received == 1.0)
+        assert all(np.array_equal(h, was) for h, was in zip(handed, at_handover))
         assert other is None or np.array_equal(other.grad, np.ones(3))
 
     def test_fresh_gradient_is_adopted(self):

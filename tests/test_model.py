@@ -439,6 +439,31 @@ class TestWholeGradient:
         assert len(graph.nodes) - 1 == config.hidden_layers + 2
 
 
+class TestBackwardKeepsLeafGradientsOnly:
+    """A sweep leaves no cotangent on an op node, only its data and tapes,
+    so a second backward without a refresh writes the same gradient."""
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-4 / np.pi])
+    def test_a_flagged_step(self, nu):
+        n, q = 64, 4  # the trajectory pins' step
+        x = np.linspace(-1.0, 1.0, n)
+        values = np.where(x < 0.0, 1.0, -1.0) * (1.0 - np.abs(x))
+        pde, tab = burgers(nu), gauss_legendre_tableau(q)
+        disc = Discretization(n_points=n, dt=0.1, q_stages=q)
+        state = step_state(GridField(values, -1.0, x[1] - x[0]), 0.0, pde, disc)
+        assert state.mask.count() > 0
+        params = init_xavier(NetworkConfig(outputs=q + 1, seed=0))
+        graph = build_loss_graph(params, state, tab, pde, disc, "sum")[0]
+        graph.backward()
+        first = params.grad.tobytes()
+        ops = [node for node in graph.nodes if node.parents]
+        assert all(type(node.grad) is float and node.grad == 0.0 for node in ops)
+        [leaf] = [node for node in graph.nodes if not node.parents]
+        assert leaf.label == "x" and not isinstance(leaf.grad, np.ndarray)
+        graph.backward()
+        assert params.grad.tobytes() == first
+
+
 class TestResidualOperator:
     def test_constant_field_zero_residual(self):
         n = 64

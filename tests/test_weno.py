@@ -284,10 +284,17 @@ class TestWenoDerivative:
         (np.zeros(8), -0.1, "spacing must be positive"),
         (np.array([0.0] * 7 + [np.nan]), 0.1, "must be finite"),
         (np.array([0.0] * 7 + [np.inf]), 0.1, "must be finite"),
+        (np.zeros(8), float("nan"), "spacing must be positive and finite"),
+        (np.zeros(8), float("inf"), "spacing must be positive and finite"),
     ])
     def test_grid_field_rejects(self, values, dx, message):
         with pytest.raises(ValueError, match=message):
             GridField(values, 0.0, dx)
+
+    @pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+    def test_grid_field_rejects_a_non_finite_origin(self, x0):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridField(np.zeros(8), x0, 0.1)
 
     SHARED = _Buffer()  # every example's sizes pass through this one buffer
 
@@ -464,8 +471,25 @@ class TestIndicator:
             discontinuity_flags(GridField(np.zeros(7), 0.0, 0.1))
 
     def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            DiscontinuityMask(np.array([0, 1, 2]))
+        for flags in [
+            [0, 1, 2],
+            [0.5, 1.0, 0.0],  # an int64 cast first would read [0, 1, 0]
+            [1.9, 0.0],  # ... [1, 0]
+            [-0.5, 0.0],  # ... [0, 0]
+            [np.nan, 0.0],
+        ]:
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                DiscontinuityMask(np.array(flags))
+
+    @pytest.mark.parametrize("flags", [
+        np.array([False, True, False]),
+        np.array([0.0, 1.0, 0.0]),
+        np.array([0, 1, 0]),
+    ])
+    def test_mask_accepts_zeros_and_ones(self, flags):
+        mask = DiscontinuityMask(flags)
+        assert mask.flags.dtype == np.int64
+        assert np.array_equal(mask.flags, [0, 1, 0])
 
     def test_dilation(self):
         mask = DiscontinuityMask(np.array([0, 0, 0, 0, 1, 0, 0, 0, 0]))
